@@ -38,7 +38,7 @@ use hetsim_device::dvfs::DvfsController;
 use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_obs::{Clock, MonotonicClock};
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::Runner;
+use hetsim_runner::{run_partitioned, Runner};
 use hetsim_trace::apps;
 
 use crate::config::{CpuDesign, GpuDesign};
@@ -143,8 +143,8 @@ fn run_fig7(cfg: &BenchConfig) -> u64 {
 
 /// The CPU campaign executed through the shard protocol's partitioner:
 /// the job list splits into two shards by key (the exact partition
-/// `--shards 2` uses), each shard runs on its own bypass runner in a
-/// separate thread, and outcomes merge back into submission order.
+/// `--shards 2` uses) and runs through `run_partitioned`, one bypass
+/// runner and thread per shard.
 /// Same simulated work as `fig7-cpu-campaign`, so the insts/sec gap
 /// between the two is the partition-and-merge overhead (without the
 /// process-spawn and cache-transport costs of real `--shards`, which
@@ -152,40 +152,10 @@ fn run_fig7(cfg: &BenchConfig) -> u64 {
 /// I/O noise). Returns total committed instructions.
 fn run_fig7_sharded(cfg: &BenchConfig) -> u64 {
     const SHARDS: usize = 2;
-    let jobs = cfg.suite().cpu_campaign_jobs();
-    let total = jobs.len();
-    let mut per_shard: Vec<Vec<(usize, hetsim_runner::Job<crate::experiment::CpuOutcome>)>> =
-        (0..SHARDS).map(|_| Vec::new()).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        per_shard[job.key.shard_of(SHARDS)].push((index, job));
-    }
-    let mut slots: Vec<Option<crate::experiment::CpuOutcome>> = (0..total).map(|_| None).collect();
-    let shard_results: Vec<(Vec<usize>, Vec<crate::experiment::CpuOutcome>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|shard_jobs| {
-                    let jobs_per_worker = cfg.jobs;
-                    scope.spawn(move || {
-                        let (indices, batch): (Vec<usize>, Vec<_>) = shard_jobs.into_iter().unzip();
-                        let outcomes = bench_runner(jobs_per_worker).run(batch);
-                        (indices, outcomes)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard bench thread panicked"))
-                .collect()
-        });
-    for (indices, outcomes) in shard_results {
-        for (index, outcome) in indices.into_iter().zip(outcomes) {
-            slots[index] = Some(outcome);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("partition is an exact cover").committed)
+    let runners: Vec<_> = (0..SHARDS).map(|_| bench_runner(cfg.jobs)).collect();
+    run_partitioned(&runners, cfg.suite().cpu_campaign_jobs())
+        .iter()
+        .map(|o| o.committed)
         .sum()
 }
 

@@ -1,27 +1,10 @@
 //! Regenerates every table and figure of the paper's evaluation, and
 //! gates reruns against pinned baselines.
 //!
-//! Usage:
-//!
-//! ```text
-//! repro [--quick] [--insts N] [--format table|json|csv] [--stats-out PATH]
-//!       [--trace-out PATH] [--profile-out PATH] [--jobs N] [--cache-dir PATH]
-//!       [--progress[=stderr|dashboard]]
-//!       [table1|fig1..fig14|all|ext|ext-migration|ext-partrf|ext-sched]...
-//! repro baseline DIR [--insts N] [--jobs N] [--cache-dir PATH] [TARGET]...
-//! repro diff BASELINE.json CANDIDATE.json [--format F] [--rel-tol X]
-//!       [--allow PREFIX]... [--allow-schema-change]
-//! repro ci-gate --baseline DIR [--jobs N] [--cache-dir PATH] [--rel-tol X]
-//! repro check [--fuzz N] [--seed S] [--insts N] [--format table|json]
-//!       [--jobs N] [--cache-dir PATH] [--progress] [--trace-in PATH]
-//! repro bench [--quick] [--insts N] [--seed S] [--warmup N] [--repeats N]
-//!       [--jobs N] [--out BENCH.json] [--format table|json] [--trend]
-//!       [--compare BASELINE.json [CANDIDATE.json]] [--rel-tol X | --ratchet]
-//! repro profile [--quick] [--insts N] [--seed S] [--jobs N] [--shards N]
-//!       [--format table|json|folded] [--out PATH] [--counters-out PATH]
-//!       [EXPERIMENT]...
-//! repro trace-export IN.jsonl OUT.json
-//! ```
+//! Every subcommand's arguments are declared in one flag table (the
+//! `Command` constants below); one scanner reads every command line
+//! against its table, and the usage text printed on an argument error
+//! is rendered from the same tables.
 //!
 //! With no experiment arguments, runs `all`. `--quick` shrinks the
 //! instruction budget for fast smoke runs (CI); `--insts N` sets it
@@ -96,11 +79,16 @@
 //!
 //! Arguments are validated up front: any unknown argument (or any flag
 //! missing its value) fails the run before any experiment starts, no
-//! matter where it appears on the command line.
+//! matter where it appears on the command line, and every error is
+//! reported, in argument order. A command without positional arguments
+//! calls a stray word an unknown argument; one with positionals treats
+//! every word not starting with `--` as positional, so only an unknown
+//! `--` word is an unknown flag.
 
 use std::io::IsTerminal;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use hetcore::bench::{run_bench, BenchConfig};
@@ -121,8 +109,9 @@ use hetsim_obs::{
 };
 use hetsim_runner::{
     design_of, fragment_path, manifest_path, supervise, trace_path, write_atomic, DashboardSink,
-    MultiSink, NullSink, ProgressEvent, ProgressSink, Runner, RunnerStats, ShardEventSink,
-    ShardManifest, ShardPolicy, StderrSink, TraceEventSink, WorkerEvent, SHARD_SCHEMA,
+    Job, MultiSink, NullSink, ProgressEvent, ProgressSink, Runner, RunnerStats, RunnerTiming,
+    ShardEventSink, ShardManifest, ShardPolicy, StderrSink, TraceEventSink, WorkerEvent,
+    SHARD_SCHEMA,
 };
 use hetsim_stats::attribution::{self, CycleClass};
 use serde::{Deserialize as _, Serialize as _};
@@ -138,17 +127,6 @@ enum Format {
     Csv,
 }
 
-fn parse_format(v: &str) -> Result<Format, String> {
-    match v {
-        "table" => Ok(Format::Table),
-        "json" => Ok(Format::Json),
-        "csv" => Ok(Format::Csv),
-        other => Err(format!(
-            "--format expects table, json or csv, got '{other}'"
-        )),
-    }
-}
-
 /// How a run narrates progress on stderr.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Progress {
@@ -161,19 +139,6 @@ enum Progress {
     /// to the line sink when stderr is not a terminal, so piped logs
     /// never contain ANSI control sequences.
     Dashboard,
-}
-
-/// Parses `--progress[=MODE]`: a bare `--progress` means `stderr`, and
-/// the flag never consumes the next argument (so `--progress fig7`
-/// keeps meaning "line progress, run fig7").
-fn parse_progress(inline: Option<&str>) -> Result<Progress, String> {
-    match inline {
-        None | Some("stderr") => Ok(Progress::Stderr),
-        Some("dashboard") => Ok(Progress::Dashboard),
-        Some(other) => Err(format!(
-            "--progress expects stderr or dashboard, got '{other}'"
-        )),
-    }
 }
 
 /// The progress sink for `mode` (+ a trace-event bridge when tracing),
@@ -205,28 +170,240 @@ fn progress_sink(mode: Progress, recorder: Option<&Arc<TraceRecorder>>) -> Arc<d
     }
 }
 
+// ---------------------------------------------------------------------
+// Argument scanning. Every subcommand declares its grammar as a flag
+// table (a `Command`); one scanner reads any command line against its
+// table, and the usage text is rendered from the same tables.
+// ---------------------------------------------------------------------
+
+/// How a flag takes its value.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// No value.
+    Switch,
+    /// One value, as `--flag VALUE` or `--flag=VALUE`. The text is the
+    /// usage placeholder; for a flag read with [`Args::choice`] or
+    /// [`Args::format`] it lists the accepted words, `|`-separated.
+    Value(&'static str),
+    /// Like `Value`, for a flag the command reads every value of (with
+    /// [`Args::parse`]); the usage marks it repeatable.
+    Many(&'static str),
+    /// Like `Value`, but the command fails without it.
+    Required(&'static str),
+    /// An optional inline value only (`--flag[=WORD]`), so the flag never
+    /// consumes the next word. Lists its words like `Value`; given bare,
+    /// it means the first.
+    Inline(&'static str),
+    /// Shorthand for another flag with a fixed value.
+    Alias(&'static str, &'static str),
+}
+
+/// One flag a subcommand accepts: its name and how it takes a value.
+#[derive(Debug, Clone, Copy)]
+struct Flag(&'static str, Kind);
+
+/// A subcommand's argument grammar.
+struct Command {
+    /// The subcommand word (empty for the default run command).
+    name: &'static str,
+    flags: &'static [Flag],
+    /// Usage words for the positional arguments. Empty when the command
+    /// takes none: then every word missing from `flags` is an unknown
+    /// argument. Otherwise a word is positional unless it starts with
+    /// `--`, and an unlisted `--` word is an unknown flag.
+    positionals: &'static str,
+}
+
+impl Command {
+    /// This command's usage line.
+    fn usage(&self) -> String {
+        let mut line = String::from("repro");
+        if !self.name.is_empty() {
+            line = format!("{line} {}", self.name);
+        }
+        for Flag(name, kind) in self.flags {
+            line += &match kind {
+                Kind::Switch | Kind::Alias(..) => format!(" [{name}]"),
+                Kind::Value(v) => format!(" [{name} {v}]"),
+                Kind::Many(v) => format!(" [{name} {v}]..."),
+                Kind::Required(v) => format!(" {name} {v}"),
+                Kind::Inline(v) => format!(" [{name}[={v}]]"),
+            };
+        }
+        if !self.positionals.is_empty() {
+            line = format!("{line} {}", self.positionals);
+        }
+        line
+    }
+}
+
+const QUICK: Flag = Flag("--quick", Kind::Switch);
+const INSTS: Flag = Flag("--insts", Kind::Value("N"));
+const SEED: Flag = Flag("--seed", Kind::Value("S"));
+const JOBS: Flag = Flag("--jobs", Kind::Value("N"));
+const SHARDS: Flag = Flag("--shards", Kind::Value("N"));
+const CACHE_DIR: Flag = Flag("--cache-dir", Kind::Value("PATH"));
+const PROGRESS: Flag = Flag("--progress", Kind::Inline("stderr|dashboard"));
+const REL_TOL: Flag = Flag("--rel-tol", Kind::Value("X"));
+const FORMAT: Flag = Flag("--format", Kind::Value("table|json|csv"));
+const FORMAT_TABLE_JSON: Flag = Flag("--format", Kind::Value("table|json"));
+
+const RUN: Command = Command {
+    name: "",
+    flags: &[
+        QUICK,
+        INSTS,
+        FORMAT,
+        Flag("--json", Kind::Alias("--format", "json")),
+        Flag("--stats-out", Kind::Value("PATH")),
+        Flag("--trace-out", Kind::Value("PATH")),
+        Flag("--profile-out", Kind::Value("PATH")),
+        JOBS,
+        SHARDS,
+        CACHE_DIR,
+        PROGRESS,
+    ],
+    positionals: "[EXPERIMENT]...",
+};
+
+const BASELINE: Command = Command {
+    name: "baseline",
+    flags: &[INSTS, JOBS, CACHE_DIR, PROGRESS],
+    positionals: "DIR [TARGET]...",
+};
+
+const DIFF: Command = Command {
+    name: "diff",
+    flags: &[
+        FORMAT,
+        REL_TOL,
+        Flag("--allow", Kind::Many("PREFIX")),
+        Flag("--allow-schema-change", Kind::Switch),
+    ],
+    positionals: "BASELINE.json CANDIDATE.json",
+};
+
+const CI_GATE: Command = Command {
+    name: "ci-gate",
+    flags: &[
+        Flag("--baseline", Kind::Required("DIR")),
+        JOBS,
+        CACHE_DIR,
+        REL_TOL,
+        PROGRESS,
+    ],
+    positionals: "",
+};
+
+const CHECK: Command = Command {
+    name: "check",
+    flags: &[
+        Flag("--fuzz", Kind::Value("N")),
+        SEED,
+        INSTS,
+        FORMAT_TABLE_JSON,
+        JOBS,
+        CACHE_DIR,
+        PROGRESS,
+        Flag("--trace-in", Kind::Value("PATH")),
+    ],
+    positionals: "",
+};
+
+const BENCH: Command = Command {
+    name: "bench",
+    flags: &[
+        QUICK,
+        INSTS,
+        SEED,
+        Flag("--warmup", Kind::Value("N")),
+        Flag("--repeats", Kind::Value("N")),
+        JOBS,
+        Flag("--out", Kind::Value("BENCH.json")),
+        FORMAT_TABLE_JSON,
+        Flag("--trend", Kind::Switch),
+        Flag("--compare", Kind::Value("BASELINE.json")),
+        REL_TOL,
+        Flag("--ratchet", Kind::Switch),
+    ],
+    positionals: "[CANDIDATE.json]",
+};
+
+const PROFILE: Command = Command {
+    name: "profile",
+    flags: &[
+        QUICK,
+        INSTS,
+        SEED,
+        JOBS,
+        SHARDS,
+        Flag("--format", Kind::Value("table|json|folded")),
+        Flag("--out", Kind::Value("PATH")),
+        Flag("--counters-out", Kind::Value("PATH")),
+    ],
+    positionals: "[EXPERIMENT]...",
+};
+
+const EXPLORE: Command = Command {
+    name: "explore",
+    flags: &[
+        Flag("--space", Kind::Value("fig7")),
+        Flag("--budget", Kind::Value("N")),
+        SEED,
+        INSTS,
+        JOBS,
+        SHARDS,
+        CACHE_DIR,
+        Flag("--sweep", Kind::Many("AXIS=V1,V2")),
+        FORMAT,
+        Flag("--frontier-out", Kind::Value("PATH")),
+    ],
+    positionals: "",
+};
+
+const TRACE_EXPORT: Command = Command {
+    name: "trace-export",
+    flags: &[],
+    positionals: "IN.jsonl [IN2.jsonl]... OUT.json",
+};
+
+/// The worker half of `--shards` (see `cmd_shard_worker`); hidden from
+/// the usage text.
+const SHARD_WORKER: Command = Command {
+    name: "shard-worker",
+    flags: &[
+        Flag("--shard", Kind::Required("I")),
+        Flag("--shards", Kind::Required("N")),
+        Flag("--attempt", Kind::Value("K")),
+        Flag("--cache-dir", Kind::Required("PATH")),
+        Flag("--out-dir", Kind::Required("PATH")),
+        INSTS,
+        SEED,
+        JOBS,
+        Flag("--trace", Kind::Switch),
+        Flag("--profile", Kind::Switch),
+    ],
+    positionals: "[EXPERIMENT]...",
+};
+
+/// The public commands, in usage order.
+const COMMANDS: [&Command; 9] = [
+    &RUN,
+    &BASELINE,
+    &DIFF,
+    &CI_GATE,
+    &CHECK,
+    &BENCH,
+    &PROFILE,
+    &EXPLORE,
+    &TRACE_EXPORT,
+];
+
 fn usage() -> String {
+    let lines: Vec<String> = COMMANDS.iter().map(|c| c.usage()).collect();
     format!(
-        "usage: repro [--quick] [--insts N] [--format table|json|csv] [--stats-out PATH] \
-         [--trace-out PATH] [--profile-out PATH] [--jobs N] [--shards N] [--cache-dir PATH] \
-         [--progress[=stderr|dashboard]] [EXPERIMENT]...\n\
-         \x20      repro baseline DIR [--insts N] [--jobs N] [--cache-dir PATH] [TARGET]...\n\
-         \x20      repro diff BASELINE.json CANDIDATE.json [--format F] [--rel-tol X] \
-         [--allow PREFIX]... [--allow-schema-change]\n\
-         \x20      repro ci-gate --baseline DIR [--jobs N] [--cache-dir PATH] [--rel-tol X]\n\
-         \x20      repro check [--fuzz N] [--seed S] [--insts N] [--format table|json] \
-         [--jobs N] [--cache-dir PATH] [--progress] [--trace-in PATH]\n\
-         \x20      repro bench [--quick] [--insts N] [--seed S] [--warmup N] [--repeats N] \
-         [--jobs N] [--out BENCH.json] [--format table|json] [--trend] \
-         [--compare BASELINE.json [CANDIDATE.json]] [--rel-tol X | --ratchet]\n\
-         \x20      repro profile [--quick] [--insts N] [--seed S] [--jobs N] [--shards N] \
-         [--format table|json|folded] [--out PATH] [--counters-out PATH] [EXPERIMENT]...\n\
-         \x20      repro explore [--space fig7] [--budget N] [--seed S] [--insts N] \
-         [--jobs N] [--shards N] [--cache-dir PATH] [--sweep AXIS=V1,V2...]... \
-         [--format table|json|csv] [--frontier-out PATH]\n\
-         \x20      repro trace-export IN.jsonl [IN2.jsonl]... OUT.json\n\
-         experiments: all, ext, {}\n\
-         extensions:  {}",
+        "usage: {}\nexperiments: all, ext, {}\nextensions:  {}",
+        lines.join("\n       "),
         Experiment::ALL
             .iter()
             .map(|e| e.cli_name())
@@ -238,6 +415,227 @@ fn usage() -> String {
             .collect::<Vec<_>>()
             .join(", "),
     )
+}
+
+/// "a, b or c".
+fn or_list(words: &[&str]) -> String {
+    match words {
+        [rest @ .., last] if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+        _ => words.join(""),
+    }
+}
+
+/// A command line scanned against its command's table. Values are
+/// checked by the typed accessors, which word each kind of error once.
+/// Every error carries the position of the word it concerns, so errors
+/// print in argument order whatever order the command reads its flags
+/// in; errors raised after the scan ([`Args::error`]) come last.
+struct Args {
+    cmd: &'static Command,
+    /// Flag occurrences in argument order: position, name, and value
+    /// (`None` for a switch).
+    flags: Vec<(usize, &'static str, Option<String>)>,
+    /// Positional words and their positions.
+    words: Vec<(usize, String)>,
+    errors: Vec<(usize, String)>,
+}
+
+/// Scans `args` against `cmd`'s flag table.
+fn scan(cmd: &'static Command, args: &[String]) -> Args {
+    let mut out = Args {
+        cmd,
+        flags: Vec::new(),
+        words: Vec::new(),
+        errors: Vec::new(),
+    };
+    let mut i = 0;
+    while i < args.len() {
+        let pos = i;
+        let arg = &args[i];
+        i += 1;
+        let (name, inline) = match arg.split_once('=') {
+            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
+            _ => (arg.as_str(), None),
+        };
+        let Some(&Flag(name, kind)) = cmd.flags.iter().find(|f| f.0 == name) else {
+            if cmd.positionals.is_empty() {
+                out.errors.push((pos, format!("unknown argument '{name}'")));
+            } else if name.starts_with("--") {
+                out.errors.push((pos, format!("unknown flag '{name}'")));
+            } else {
+                out.words.push((pos, arg.clone()));
+            }
+            continue;
+        };
+        let (name, value) = match kind {
+            Kind::Switch | Kind::Alias(..) if inline.is_some() => {
+                out.errors.push((pos, format!("{name} takes no value")));
+                continue;
+            }
+            Kind::Switch => (name, None),
+            Kind::Alias(target, value) => (target, Some(value.to_string())),
+            Kind::Inline(words) => {
+                let first = words.split('|').next().unwrap_or_default();
+                (name, Some(inline.unwrap_or_else(|| first.to_string())))
+            }
+            Kind::Value(_) | Kind::Many(_) | Kind::Required(_) => match inline {
+                Some(v) => (name, Some(v)),
+                None if i < args.len() => {
+                    i += 1;
+                    (name, Some(args[i - 1].clone()))
+                }
+                None => {
+                    out.errors.push((pos, format!("{name} requires a value")));
+                    continue;
+                }
+            },
+        };
+        out.flags.push((pos, name, value));
+    }
+    for &Flag(name, kind) in cmd.flags {
+        if let Kind::Required(v) = kind {
+            if !out.given(&[name]) {
+                out.error(format!("{} requires {name} {v}", cmd.name));
+            }
+        }
+    }
+    out
+}
+
+impl Args {
+    /// Whether any of `names` was given (a bare name or with a value).
+    fn given(&self, names: &[&str]) -> bool {
+        self.flags.iter().any(|(_, name, _)| names.contains(name))
+    }
+
+    /// The last value given for `name`, as a path.
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.flags
+            .iter()
+            .rev()
+            .find(|(_, n, _)| *n == name)
+            .and_then(|(_, _, v)| v.as_deref())
+            .map(PathBuf::from)
+    }
+
+    /// Runs `parse` on every value given for `name`, in order, reporting
+    /// each failure at its word. The last value parsed wins.
+    fn parse<T>(
+        &mut self,
+        name: &str,
+        mut parse: impl FnMut(&str) -> Result<T, String>,
+    ) -> Option<T> {
+        let mut last = None;
+        for (pos, n, value) in &self.flags {
+            let Some(v) = value.as_deref().filter(|_| *n == name) else {
+                continue;
+            };
+            match parse(v) {
+                Ok(t) => last = Some(t),
+                Err(e) => self.errors.push((*pos, e)),
+            }
+        }
+        last
+    }
+
+    /// An integer >= 1.
+    fn count<T: FromStr + PartialOrd + From<u8>>(&mut self, name: &str) -> Option<T> {
+        self.parse(name, |v| match v.parse::<T>() {
+            Ok(n) if n >= T::from(1) => Ok(n),
+            _ => Err(format!("{name} expects an integer >= 1, got '{v}'")),
+        })
+    }
+
+    /// Any integer of `T`.
+    fn int<T: FromStr>(&mut self, name: &str) -> Option<T> {
+        self.parse(name, |v| {
+            v.parse()
+                .map_err(|_| format!("{name} expects an integer, got '{v}'"))
+        })
+    }
+
+    /// A finite number >= 0.
+    fn number(&mut self, name: &str) -> Option<f64> {
+        self.parse(name, |v| match v.parse::<f64>() {
+            Ok(x) if x >= 0.0 && x.is_finite() => Ok(x),
+            _ => Err(format!("{name} expects a number >= 0, got '{v}'")),
+        })
+    }
+
+    /// The words `name`'s table entry lists.
+    fn choices(&self, name: &str) -> Vec<&'static str> {
+        match self.cmd.flags.iter().find(|f| f.0 == name) {
+            Some(Flag(_, Kind::Value(words) | Kind::Inline(words))) => words.split('|').collect(),
+            _ => panic!("{name} lists no choices in the {:?} table", self.cmd.name),
+        }
+    }
+
+    /// One of the words `name`'s table entry lists.
+    fn choice(&mut self, name: &str) -> Option<&'static str> {
+        let choices = self.choices(name);
+        self.parse(name, |v| {
+            choices
+                .iter()
+                .find(|c| **c == v)
+                .copied()
+                .ok_or_else(|| format!("{name} expects {}, got '{v}'", or_list(&choices)))
+        })
+    }
+
+    /// `--format` as a report rendering. A rendering the command's
+    /// table does not list is refused by name.
+    fn format(&mut self) -> Option<Format> {
+        let (cmd, supported) = (self.cmd.name, self.choices("--format"));
+        self.parse("--format", |v| {
+            let format = match v {
+                "table" => Format::Table,
+                "json" => Format::Json,
+                "csv" => Format::Csv,
+                _ => return Err(format!("--format expects table, json or csv, got '{v}'")),
+            };
+            if supported.contains(&v) {
+                Ok(format)
+            } else {
+                Err(format!("{cmd} supports --format {}", or_list(&supported)))
+            }
+        })
+    }
+
+    /// `--progress[=stderr|dashboard]`.
+    fn progress(&mut self) -> Progress {
+        match self.choice("--progress") {
+            None => Progress::Quiet,
+            Some("dashboard") => Progress::Dashboard,
+            Some(_) => Progress::Stderr,
+        }
+    }
+
+    /// Resolves every positional word with `resolve`, reporting each
+    /// failure at its word.
+    fn positionals<T>(&mut self, mut resolve: impl FnMut(&str) -> Result<T, String>) -> Vec<T> {
+        let mut out = Vec::new();
+        for (pos, word) in &self.words {
+            match resolve(word) {
+                Ok(t) => out.push(t),
+                Err(e) => self.errors.push((*pos, e)),
+            }
+        }
+        out
+    }
+
+    /// Records an error about the command line as a whole.
+    fn error(&mut self, message: impl Into<String>) {
+        self.errors.push((usize::MAX, message.into()));
+    }
+
+    /// Every error, in argument order.
+    fn finish(mut self) -> Result<(), Vec<String>> {
+        if self.errors.is_empty() {
+            return Ok(());
+        }
+        self.errors.sort_by_key(|(pos, _)| *pos);
+        Err(self.errors.into_iter().map(|(_, e)| e).collect())
+    }
 }
 
 /// Everything the default (run) command needs, parsed and validated as
@@ -261,126 +659,39 @@ struct Options {
 /// experiment name combined with valid flags is rejected identically
 /// wherever it appears.
 fn parse(args: &[String]) -> Result<Options, Vec<String>> {
+    let mut args = scan(&RUN, args);
+    let targets = args.positionals(|word| match word {
+        "all" => Ok(None),
+        _ => resolve_target(word).map(Some),
+    });
     let mut suite = Suite::default();
+    if args.given(&["--quick"]) {
+        suite.insts_per_app = QUICK_INSTS;
+    }
+    if let Some(n) = args.count("--insts") {
+        // An explicit budget wins over --quick wherever it appears.
+        suite.insts_per_app = n;
+    }
+    let format = args.format().unwrap_or(Format::Table);
+    let jobs = args.count("--jobs").unwrap_or_else(default_jobs);
+    let shards = args.count("--shards");
+    let progress = args.progress();
+    let stats_out = args.path("--stats-out");
+    let trace_out = args.path("--trace-out");
+    let profile_out = args.path("--profile-out");
+    let cache_dir = args.path("--cache-dir");
+    args.finish()?;
+
+    let run_all = targets.iter().any(Option::is_none);
     let mut requested = Vec::new();
     let mut extensions = Vec::new();
-    let mut run_all = false;
-    let mut format = Format::Table;
-    let mut insts = None;
-    let mut stats_out = None;
-    let mut trace_out = None;
-    let mut profile_out = None;
-    let mut jobs = None;
-    let mut shards = None;
-    let mut cache_dir = None;
-    let mut progress = Progress::Quiet;
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        // Flags taking a value accept both `--flag VALUE` and
-        // `--flag=VALUE`.
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--quick" => suite.insts_per_app = 60_000,
-            "--json" => format = Format::Json,
-            "--format" => {
-                if let Some(v) = value(&mut errors) {
-                    match parse_format(&v) {
-                        Ok(f) => format = f,
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            "--insts" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => insts = Some(n),
-                        _ => errors.push(format!("--insts expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--stats-out" => {
-                if let Some(v) = value(&mut errors) {
-                    stats_out = Some(PathBuf::from(v));
-                }
-            }
-            "--trace-out" => {
-                if let Some(v) = value(&mut errors) {
-                    trace_out = Some(PathBuf::from(v));
-                }
-            }
-            "--profile-out" => {
-                if let Some(v) = value(&mut errors) {
-                    profile_out = Some(PathBuf::from(v));
-                }
-            }
-            "--progress" => match parse_progress(inline.as_deref()) {
-                Ok(p) => progress = p,
-                Err(e) => errors.push(e),
-            },
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--shards" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => shards = Some(n),
-                        _ => errors.push(format!("--shards expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--cache-dir" => {
-                if let Some(v) = value(&mut errors) {
-                    cache_dir = Some(PathBuf::from(v));
-                }
-            }
-            "all" => run_all = true,
-            "ext" => extensions.extend(Extension::ALL),
-            other => match Experiment::from_cli_name(other) {
-                Some(e) => requested.push(e),
-                None => match Extension::from_cli_name(other) {
-                    Some(e) => extensions.push(e),
-                    None => errors.push(format!("unknown experiment '{other}'")),
-                },
-            },
-        }
-        i += 1;
-    }
-
-    if !errors.is_empty() {
-        return Err(errors);
+    for (r, x) in targets.into_iter().flatten() {
+        requested.extend(r);
+        extensions.extend(x);
     }
     if (requested.is_empty() && extensions.is_empty()) || run_all {
         requested = Experiment::ALL.to_vec();
     }
-    if let Some(n) = insts {
-        // An explicit budget wins over --quick wherever it appears.
-        suite.insts_per_app = n;
-    }
-    let jobs = jobs.unwrap_or_else(default_jobs);
     Ok(Options {
         suite,
         requested,
@@ -395,6 +706,9 @@ fn parse(args: &[String]) -> Result<Options, Vec<String>> {
         progress,
     })
 }
+
+/// The instruction budget per application under `--quick`.
+const QUICK_INSTS: u64 = 60_000;
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism()
@@ -429,53 +743,16 @@ fn execute(
 ) -> Result<Execution, String> {
     let sink = progress_sink(progress, recorder);
 
-    // Share campaigns across the figures that need them.
-    let needs_cpu = requested.iter().any(|e| {
-        matches!(
-            e,
-            Experiment::Fig7 | Experiment::Fig8 | Experiment::Fig9 | Experiment::Fig13
-        )
-    });
-    let needs_gpu = requested
-        .iter()
-        .any(|e| matches!(e, Experiment::Fig10 | Experiment::Fig11 | Experiment::Fig12));
-
-    // CPU and GPU campaigns share one cache directory: their key spaces
-    // are separated by schema tags (see `hetcore::campaign`).
-    fn with_cache<T>(dir: &Option<PathBuf>, runner: Runner<T>) -> std::io::Result<Runner<T>>
-    where
-        T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
-    {
-        match dir {
-            Some(d) => runner.with_cache_dir(d),
-            None => Ok(runner),
-        }
-    }
-    // Runners outlive their campaigns: their cumulative stats feed the
-    // telemetry dump after the reports are rendered.
-    fn traced<T>(recorder: Option<&Arc<TraceRecorder>>, runner: Runner<T>) -> Runner<T>
-    where
-        T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
-    {
-        match recorder {
-            Some(rec) => runner.with_recorder(rec.clone()),
-            None => runner,
-        }
-    }
+    // Share campaigns across the figures that need them. Runners outlive
+    // their campaigns: their cumulative stats feed the telemetry dump
+    // after the reports are rendered.
+    let (needs_cpu, needs_gpu) = campaign_needs(requested);
     let cpu_runner = needs_cpu
-        .then(|| {
-            with_cache(cache_dir, Runner::new(jobs))
-                .map(|r| traced(recorder, r).with_sink(sink.clone()))
-        })
-        .transpose()
-        .map_err(|e| format!("cannot open cache directory: {e}"))?;
+        .then(|| campaign_runner(jobs, cache_dir.as_deref(), &sink, recorder))
+        .transpose()?;
     let gpu_runner = needs_gpu
-        .then(|| {
-            with_cache(cache_dir, Runner::new(jobs))
-                .map(|r| traced(recorder, r).with_sink(sink.clone()))
-        })
-        .transpose()
-        .map_err(|e| format!("cannot open cache directory: {e}"))?;
+        .then(|| campaign_runner(jobs, cache_dir.as_deref(), &sink, recorder))
+        .transpose()?;
     // Zero the event-driven-step telemetry so the skip counters in this
     // dump cover exactly this execution (the atomics are process-global
     // and otherwise accumulate across runs in one process).
@@ -583,6 +860,31 @@ fn execute(
     Ok(execution)
 }
 
+/// A campaign runner on `jobs` worker threads, narrating to `sink`,
+/// persisting outcomes to `cache_dir` and tracing into `recorder` when
+/// given. CPU and GPU campaigns share one cache directory: their key
+/// spaces are separated by schema tags (see `hetcore::campaign`).
+fn campaign_runner<T>(
+    jobs: usize,
+    cache_dir: Option<&std::path::Path>,
+    sink: &Arc<dyn ProgressSink>,
+    recorder: Option<&Arc<TraceRecorder>>,
+) -> Result<Runner<T>, String>
+where
+    T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
+{
+    let mut runner = Runner::new(jobs).with_sink(sink.clone());
+    if let Some(dir) = cache_dir {
+        runner = runner
+            .with_cache_dir(dir)
+            .map_err(|e| format!("cannot open cache directory: {e}"))?;
+    }
+    if let Some(recorder) = recorder {
+        runner = runner.with_recorder(recorder.clone());
+    }
+    Ok(runner)
+}
+
 /// Validates every campaign outcome and the serialized telemetry of one
 /// execution (shared by the HETSIM_CHECK hook above and `repro check`,
 /// which also counts the checks and injects perturbations).
@@ -650,14 +952,53 @@ fn cmd_run(args: &[String]) -> ExitCode {
         Ok(opts) => opts,
         Err(errors) => return fail(&errors),
     };
-    if let Some(shards) = opts.shards {
-        return cmd_run_sharded(opts, shards);
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Runs the experiments `opts` names and writes every requested output.
+/// With `--shards N`, N worker processes first warm a shared cache (see
+/// `run_sharded`), and this process then takes the ordinary path,
+/// answered from that cache.
+fn run(opts: &Options) -> Result<(), String> {
+    // Workers and supervisor communicate through one cache directory.
+    // Without --cache-dir an ephemeral one lives for exactly this run.
+    let mut cache_dir = opts.cache_dir.clone();
+    let mut _cleanup = EphemeralDir(None);
+    let mut progress = opts.progress;
+    let mut shard_dir = None;
+    if let Some(shards) = opts.shards {
+        let dir = cache_dir.get_or_insert_with(|| {
+            let dir = std::env::temp_dir().join(format!("hetsim-shard-run-{}", std::process::id()));
+            _cleanup = EphemeralDir(Some(dir.clone()));
+            dir
+        });
+        let out_dir = dir.join("shards");
+        std::fs::create_dir_all(&out_dir)
+            .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+        run_sharded(opts, shards, dir, &out_dir, opts.profile_out.is_some())?;
+        // The merge pass below answers every campaign job from the warm
+        // cache, so stdout and the stats dump are byte-for-byte what
+        // `--jobs` alone produces. Progress stays quiet: the shard phase
+        // already narrated the batch.
+        progress = Progress::Quiet;
+        shard_dir = Some((out_dir, shards));
+    }
+
     // The recorder exists only when a trace was requested; without it
     // the run takes exactly the untraced code path, so headline output
     // stays byte-identical. Attribution is the same shape of opt-in:
     // the process-global flag stays off (and the simulators skip all
-    // histogram work) unless --profile-out asked for it.
+    // histogram work) unless --profile-out asked for it. On a sharded
+    // run it stays on for the merge pass too: campaign jobs replay from
+    // cache (publishing nothing), but the inline extension studies
+    // simulate in this process and their rows merge with the worker
+    // fragments.
     if opts.profile_out.is_some() {
         attribution::set_enabled(true);
     }
@@ -665,57 +1006,69 @@ fn cmd_run(args: &[String]) -> ExitCode {
         .trace_out
         .is_some()
         .then(|| Arc::new(TraceRecorder::new(Arc::new(MonotonicClock::new()))));
-    let execution = match execute(
+    let execution = execute(
         &opts.suite,
         &opts.requested,
         &opts.extensions,
         opts.jobs,
-        &opts.cache_dir,
-        opts.progress,
+        &cache_dir,
+        progress,
         recorder.as_ref(),
-    ) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
     // Drained exactly once per run; with profiling off the collector
     // was never touched and stays empty.
-    let profile = opts.profile_out.is_some().then(collector::take);
+    let mut profile = opts.profile_out.is_some().then(collector::take);
+    if let (Some(profile), Some((out_dir, shards))) = (&mut profile, &shard_dir) {
+        let mut merged = merge_profile_fragments(out_dir, *shards)?;
+        merged.merge(profile);
+        *profile = merged;
+    }
     let mut dump = execution.dump;
     if let Some(p) = &profile {
         dump = dump.with_profile(p.to_value());
     }
-    if let Err(e) = print_reports(&execution.reports, opts.format) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = opts.stats_out {
-        if let Err(e) = dump.write_to(&path) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    print_reports(&execution.reports, opts.format)?;
+    if let Some(path) = &opts.stats_out {
+        dump.write_to(path)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!("wrote counter telemetry to {}", path.display());
     }
     if let (Some(path), Some(recorder)) = (&opts.trace_out, &recorder) {
-        if let Err(e) = write_atomic(path, &recorder.to_jsonl()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        let (events, origin) = match &shard_dir {
+            None => (recorder.events(), String::new()),
+            Some((out_dir, shards)) => {
+                // Per-worker trace logs plus the merge pass, stitched
+                // onto disjoint track lanes.
+                let mut inputs = (0..*shards)
+                    .map(|shard| read_trace(&trace_path(out_dir, shard)))
+                    .collect::<Result<Vec<_>, _>>()?;
+                inputs.push(recorder.events());
+                let origin = format!(" (stitched from {shards} worker(s) + merge pass)");
+                (stitch_traces(inputs), origin)
+            }
+        };
+        let jsonl: String = events
+            .iter()
+            .map(|e| serde_json::to_string(e).expect("value trees always serialize") + "\n")
+            .collect();
+        write_atomic(path, &jsonl).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!(
-            "wrote {} trace event(s) to {}",
-            recorder.events().len(),
+            "wrote {} trace event(s) to {}{origin}",
+            events.len(),
             path.display()
         );
     }
     if let (Some(path), Some(profile)) = (&opts.profile_out, &profile) {
-        if let Err(e) = write_profile(path, profile) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        write_profile(path, profile)?;
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// Reads a JSONL trace log recorded by `--trace-out`.
+fn read_trace(path: &std::path::Path) -> Result<Vec<hetsim_obs::TraceEvent>, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    parse_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Writes a `hetsim-profile-v1` document to `path`, narrating on
@@ -795,140 +1148,6 @@ fn campaign_needs(requested: &[Experiment]) -> (bool, bool) {
         .iter()
         .any(|e| matches!(e, Experiment::Fig10 | Experiment::Fig11 | Experiment::Fig12));
     (cpu, gpu)
-}
-
-/// The `--shards N` run command: warm the shared cache through N worker
-/// processes, then produce the report through the ordinary path.
-fn cmd_run_sharded(opts: Options, shards: usize) -> ExitCode {
-    // Workers and supervisor communicate through one cache directory.
-    // Without --cache-dir an ephemeral one lives for exactly this run.
-    let (cache_dir, cleanup) = match &opts.cache_dir {
-        Some(dir) => (dir.clone(), EphemeralDir(None)),
-        None => {
-            let dir = std::env::temp_dir().join(format!("hetsim-shard-run-{}", std::process::id()));
-            (dir.clone(), EphemeralDir(Some(dir)))
-        }
-    };
-    let out_dir = cache_dir.join("shards");
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("error: cannot create {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = run_sharded(
-        &opts,
-        shards,
-        &cache_dir,
-        &out_dir,
-        opts.profile_out.is_some(),
-    ) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    // The merge pass: the unchanged single-process path, answered
-    // entirely from the warm cache, so stdout and the stats dump are
-    // byte-for-byte what `--jobs` alone produces. Progress stays quiet
-    // here — the shard phase already narrated the batch. Attribution
-    // stays on here too: campaign jobs replay from cache (publishing
-    // nothing), but the inline extension studies simulate in this
-    // process and their rows merge with the worker fragments below.
-    if opts.profile_out.is_some() {
-        attribution::set_enabled(true);
-    }
-    let recorder = opts
-        .trace_out
-        .is_some()
-        .then(|| Arc::new(TraceRecorder::new(Arc::new(MonotonicClock::new()))));
-    let shared_cache = Some(cache_dir.clone());
-    let execution = match execute(
-        &opts.suite,
-        &opts.requested,
-        &opts.extensions,
-        opts.jobs,
-        &shared_cache,
-        Progress::Quiet,
-        recorder.as_ref(),
-    ) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let profile = match opts.profile_out.is_some() {
-        true => match merge_profile_fragments(&out_dir, shards) {
-            Ok(mut merged) => {
-                merged.merge(&collector::take());
-                Some(merged)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        false => None,
-    };
-    let mut dump = execution.dump;
-    if let Some(p) = &profile {
-        dump = dump.with_profile(p.to_value());
-    }
-    if let Err(e) = print_reports(&execution.reports, opts.format) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if let Some(path) = &opts.stats_out {
-        if let Err(e) = dump.write_to(path) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote counter telemetry to {}", path.display());
-    }
-    if let (Some(path), Some(recorder)) = (&opts.trace_out, &recorder) {
-        // Per-worker trace logs plus the merge pass, stitched onto
-        // disjoint track lanes.
-        let mut inputs = Vec::new();
-        for shard in 0..shards {
-            let shard_trace = trace_path(&out_dir, shard);
-            let text = match std::fs::read_to_string(&shard_trace) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot read {}: {e}", shard_trace.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match parse_jsonl(&text) {
-                Ok(events) => inputs.push(events),
-                Err(e) => {
-                    eprintln!("error: {}: {e}", shard_trace.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        inputs.push(recorder.events());
-        let stitched = stitch_traces(inputs);
-        let mut jsonl = String::new();
-        for event in &stitched {
-            jsonl.push_str(&serde_json::to_string(event).expect("value trees always serialize"));
-            jsonl.push('\n');
-        }
-        if let Err(e) = write_atomic(path, &jsonl) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "wrote {} trace event(s) to {} (stitched from {shards} worker(s) + merge pass)",
-            stitched.len(),
-            path.display()
-        );
-    }
-    if let (Some(path), Some(profile)) = (&opts.profile_out, &profile) {
-        if let Err(e) = write_profile(path, profile) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    drop(cleanup);
-    ExitCode::SUCCESS
 }
 
 /// The per-shard cycle-profile fragment, next to the shard's manifest
@@ -1141,72 +1360,35 @@ fn run_sharded(
 fn cmd_shard_worker(args: &[String]) -> ExitCode {
     // Invocations are machine-generated by the supervisor; parsing is
     // strict and failures are fatal without usage chatter.
-    let mut shard = None;
-    let mut shards = None;
-    let mut attempt = 0u64;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut out_dir: Option<PathBuf> = None;
-    let mut insts: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut jobs = 1usize;
-    let mut trace = false;
-    let mut profile = false;
-    let mut words: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let mut value = || -> Result<String, String> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        let step = (|| -> Result<(), String> {
-            match arg {
-                "--shard" => shard = Some(value()?.parse::<usize>().map_err(|e| e.to_string())?),
-                "--shards" => shards = Some(value()?.parse::<usize>().map_err(|e| e.to_string())?),
-                "--attempt" => attempt = value()?.parse::<u64>().map_err(|e| e.to_string())?,
-                "--cache-dir" => cache_dir = Some(PathBuf::from(value()?)),
-                "--out-dir" => out_dir = Some(PathBuf::from(value()?)),
-                "--insts" => insts = Some(value()?.parse::<u64>().map_err(|e| e.to_string())?),
-                "--seed" => seed = Some(value()?.parse::<u64>().map_err(|e| e.to_string())?),
-                "--jobs" => jobs = value()?.parse::<usize>().map_err(|e| e.to_string())?,
-                "--trace" => trace = true,
-                "--profile" => profile = true,
-                word if !word.starts_with("--") => words.push(word.to_string()),
-                other => return Err(format!("unknown shard-worker flag '{other}'")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = step {
+    let mut args = scan(&SHARD_WORKER, args);
+    let shard = args.int::<usize>("--shard");
+    let shards = args.count::<usize>("--shards");
+    let attempt = args.int::<u64>("--attempt").unwrap_or(0);
+    let cache_dir = args.path("--cache-dir");
+    let out_dir = args.path("--out-dir");
+    let jobs = args.count("--jobs").unwrap_or(1);
+    let mut suite = Suite::default();
+    if let Some(n) = args.count("--insts") {
+        suite.insts_per_app = n;
+    }
+    if let Some(s) = args.int("--seed") {
+        suite.seed = s;
+    }
+    let trace = args.given(&["--trace"]);
+    let profile = args.given(&["--profile"]);
+    let requested = args.positionals(experiment);
+    if let Err(errors) = args.finish() {
+        for e in errors {
             eprintln!("error: shard-worker: {e}");
-            return ExitCode::FAILURE;
         }
-        i += 1;
+        return ExitCode::FAILURE;
     }
     let (Some(shard), Some(shards), Some(cache_dir), Some(out_dir)) =
         (shard, shards, cache_dir, out_dir)
     else {
-        eprintln!("error: shard-worker requires --shard, --shards, --cache-dir and --out-dir");
-        return ExitCode::FAILURE;
+        unreachable!("the scan rejects a worker command line without these flags");
     };
-    let mut suite = Suite::default();
-    if let Some(n) = insts {
-        suite.insts_per_app = n;
-    }
-    if let Some(s) = seed {
-        suite.seed = s;
-    }
-    let mut requested = Vec::new();
-    for word in &words {
-        match Experiment::from_cli_name(word) {
-            Some(e) => requested.push(e),
-            None => {
-                eprintln!("error: shard-worker: unknown experiment '{word}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let words: Vec<String> = requested.iter().map(|e| e.cli_name().to_string()).collect();
     let (needs_cpu, needs_gpu) = campaign_needs(&requested);
 
     let sink: Arc<dyn ProgressSink> = Arc::new(ShardEventSink::stdout());
@@ -1217,28 +1399,19 @@ fn cmd_shard_worker(args: &[String]) -> ExitCode {
 
     // This shard's slice of the canonical batch, by key — every worker
     // and the supervisor compute the same partition independently.
-    let cpu_mine: Vec<_> = if needs_cpu {
-        suite
-            .cpu_campaign_jobs()
-            .into_iter()
-            .filter(|j| j.key.shard_of(shards) == shard)
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let gpu_mine: Vec<_> = if needs_gpu {
-        suite
-            .gpu_campaign_jobs()
-            .into_iter()
-            .filter(|j| j.key.shard_of(shards) == shard)
-            .collect()
-    } else {
-        Vec::new()
-    };
+    let cpu_mine: Option<Vec<_>> = needs_cpu.then(|| {
+        let jobs = suite.cpu_campaign_jobs().into_iter();
+        jobs.filter(|j| j.key.shard_of(shards) == shard).collect()
+    });
+    let gpu_mine: Option<Vec<_>> = needs_gpu.then(|| {
+        let jobs = suite.gpu_campaign_jobs().into_iter();
+        jobs.filter(|j| j.key.shard_of(shards) == shard).collect()
+    });
     let keys: Vec<String> = cpu_mine
         .iter()
+        .flatten()
         .map(|j| j.key.hex())
-        .chain(gpu_mine.iter().map(|j| j.key.hex()))
+        .chain(gpu_mine.iter().flatten().map(|j| j.key.hex()))
         .collect();
     let total = keys.len();
 
@@ -1246,57 +1419,35 @@ fn cmd_shard_worker(args: &[String]) -> ExitCode {
     // results of the completed half already committed to the shared
     // cache — exactly the mid-shard death the supervisor must survive.
     let fail_now = shard_fail_requested(shard, attempt);
-    let mut budget = if fail_now { Some(total / 2) } else { None };
+    let mut budget = fail_now.then_some(total / 2);
 
     let mut dump = StatsDump::new().with_run(suite.insts_per_app, suite.seed, &words);
     let mut executed = 0u64;
-    if needs_cpu {
-        let mut batch = cpu_mine;
-        if let Some(b) = &mut budget {
-            let take = (*b).min(batch.len());
-            batch.truncate(take);
-            *b -= take;
-        }
-        let runner = match Runner::new(jobs).with_cache_dir(&cache_dir) {
-            Ok(r) => r.with_sink(sink.clone()),
+    let recorder = recorder.as_ref();
+    let slices = [
+        (
+            "cpu",
+            run_slice(cpu_mine, &mut budget, jobs, &cache_dir, &sink, recorder),
+        ),
+        (
+            "gpu",
+            run_slice(gpu_mine, &mut budget, jobs, &cache_dir, &sink, recorder),
+        ),
+    ];
+    for (section, slice) in slices {
+        match slice {
+            Ok(Some((stats, timing))) => {
+                executed += stats.executed;
+                dump = dump
+                    .with_runner(section, stats)
+                    .with_runner_timing(section, timing);
+            }
+            Ok(None) => {}
             Err(e) => {
-                eprintln!("error: shard {shard}: cannot open cache directory: {e}");
+                eprintln!("error: shard {shard}: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let runner = match &recorder {
-            Some(rec) => runner.with_recorder(rec.clone()),
-            None => runner,
-        };
-        runner.run(batch);
-        executed += runner.total_stats().executed;
-        dump = dump
-            .with_runner("cpu", runner.total_stats())
-            .with_runner_timing("cpu", runner.total_timing());
-    }
-    if needs_gpu {
-        let mut batch = gpu_mine;
-        if let Some(b) = &mut budget {
-            let take = (*b).min(batch.len());
-            batch.truncate(take);
-            *b -= take;
         }
-        let runner = match Runner::new(jobs).with_cache_dir(&cache_dir) {
-            Ok(r) => r.with_sink(sink.clone()),
-            Err(e) => {
-                eprintln!("error: shard {shard}: cannot open cache directory: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let runner = match &recorder {
-            Some(rec) => runner.with_recorder(rec.clone()),
-            None => runner,
-        };
-        runner.run(batch);
-        executed += runner.total_stats().executed;
-        dump = dump
-            .with_runner("gpu", runner.total_stats())
-            .with_runner_timing("gpu", runner.total_timing());
     }
     if fail_now {
         // Die without a manifest: the half-done work stays in the
@@ -1306,7 +1457,7 @@ fn cmd_shard_worker(args: &[String]) -> ExitCode {
         std::process::exit(3);
     }
 
-    if let Some(rec) = &recorder {
+    if let Some(rec) = recorder {
         if let Err(e) = write_atomic(&trace_path(&out_dir, shard), &rec.to_jsonl()) {
             eprintln!("error: shard {shard}: cannot write trace: {e}");
             return ExitCode::FAILURE;
@@ -1346,19 +1497,48 @@ fn cmd_shard_worker(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Runs one campaign's slice of a worker's shard into the shared cache,
+/// cut short to the fault-injection `budget` when one is set. Returns
+/// the runner's stats, or `None` when the shard runs no such campaign.
+fn run_slice<T>(
+    batch: Option<Vec<Job<T>>>,
+    budget: &mut Option<usize>,
+    jobs: usize,
+    cache_dir: &std::path::Path,
+    sink: &Arc<dyn ProgressSink>,
+    recorder: Option<&Arc<TraceRecorder>>,
+) -> Result<Option<(RunnerStats, RunnerTiming)>, String>
+where
+    T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
+{
+    let Some(mut batch) = batch else {
+        return Ok(None);
+    };
+    if let Some(b) = budget {
+        let take = (*b).min(batch.len());
+        batch.truncate(take);
+        *b -= take;
+    }
+    let runner = campaign_runner(jobs, Some(cache_dir), sink, recorder)?;
+    runner.run(batch);
+    Ok(Some((runner.total_stats(), runner.total_timing())))
+}
+
+/// Parses one experiment word.
+fn experiment(word: &str) -> Result<Experiment, String> {
+    Experiment::from_cli_name(word).ok_or_else(|| format!("unknown experiment '{word}'"))
+}
+
 /// A baseline target: one CLI word, resolved to the experiments and
 /// extensions it runs.
 fn resolve_target(word: &str) -> Result<(Vec<Experiment>, Vec<Extension>), String> {
     if word == "ext" {
         return Ok((Vec::new(), Extension::ALL.to_vec()));
     }
-    if let Some(e) = Experiment::from_cli_name(word) {
-        return Ok((vec![e], Vec::new()));
+    match Extension::from_cli_name(word) {
+        Some(e) => Ok((Vec::new(), vec![e])),
+        None => experiment(word).map(|e| (vec![e], Vec::new())),
     }
-    if let Some(e) = Extension::from_cli_name(word) {
-        return Ok((Vec::new(), vec![e]));
-    }
-    Err(format!("unknown experiment '{word}'"))
 }
 
 /// The targets `repro baseline` pins by default (and the CI gate
@@ -1372,105 +1552,42 @@ const DEFAULT_BASELINE_INSTS: u64 = 3_000;
 
 /// `repro baseline DIR [TARGET]...` — write one pinned dump per target.
 fn cmd_baseline(args: &[String]) -> ExitCode {
-    let mut dir: Option<PathBuf> = None;
-    let mut targets: Vec<String> = Vec::new();
-    let mut insts = DEFAULT_BASELINE_INSTS;
-    let mut jobs = None;
-    let mut cache_dir = None;
-    let mut progress = Progress::Quiet;
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--insts" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => insts = n,
-                        _ => errors.push(format!("--insts expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--cache-dir" => {
-                if let Some(v) = value(&mut errors) {
-                    cache_dir = Some(PathBuf::from(v));
-                }
-            }
-            "--progress" => match parse_progress(inline.as_deref()) {
-                Ok(p) => progress = p,
-                Err(e) => errors.push(e),
-            },
-            other if other.starts_with("--") => {
-                errors.push(format!("unknown flag '{other}'"));
-            }
-            positional => {
-                if dir.is_none() {
-                    dir = Some(PathBuf::from(positional));
-                } else {
-                    if let Err(e) = resolve_target(positional) {
-                        errors.push(e);
-                    }
-                    targets.push(positional.to_string());
-                }
-            }
+    let mut args = scan(&BASELINE, args);
+    let insts = args.count("--insts").unwrap_or(DEFAULT_BASELINE_INSTS);
+    let jobs = args.count("--jobs").unwrap_or_else(default_jobs);
+    let cache_dir = args.path("--cache-dir");
+    let progress = args.progress();
+    // The first word is the output directory, the rest are targets.
+    let mut dir = None;
+    let targets = args.positionals(|word| {
+        if dir.is_none() {
+            dir = Some(PathBuf::from(word));
+            return Ok(None);
         }
-        i += 1;
+        resolve_target(word).map(|t| Some((word.to_string(), t)))
+    });
+    if dir.is_none() {
+        args.error("baseline requires an output directory");
     }
-    let Some(dir) = dir else {
-        errors.push("baseline requires an output directory".to_string());
-        return fail(&errors);
-    };
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
+    let dir = dir.expect("checked above");
+    let mut targets: Vec<_> = targets.into_iter().flatten().collect();
     if targets.is_empty() {
         targets = DEFAULT_BASELINE_TARGETS
             .iter()
-            .map(|t| t.to_string())
+            .map(|t| (t.to_string(), resolve_target(t).expect("built-in target")))
             .collect();
     }
-    let jobs = jobs.unwrap_or_else(default_jobs);
     let suite = Suite {
         insts_per_app: insts,
         ..Suite::default()
     };
 
-    for target in &targets {
-        let (requested, extensions) = resolve_target(target).expect("validated above");
+    for (target, (requested, extensions)) in &targets {
         let execution = match execute(
-            &suite,
-            &requested,
-            &extensions,
-            jobs,
-            &cache_dir,
-            progress,
-            None,
+            &suite, requested, extensions, jobs, &cache_dir, progress, None,
         ) {
             Ok(x) => x,
             Err(e) => {
@@ -1491,66 +1608,25 @@ fn cmd_baseline(args: &[String]) -> ExitCode {
 /// `repro diff BASELINE.json CANDIDATE.json` — compare two dumps, exit
 /// non-zero on regression.
 fn cmd_diff(args: &[String]) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut format = Format::Table;
+    let mut args = scan(&DIFF, args);
+    let format = args.format().unwrap_or(Format::Table);
     let mut policy = DiffPolicy::default();
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--format" => {
-                if let Some(v) = value(&mut errors) {
-                    match parse_format(&v) {
-                        Ok(f) => format = f,
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            "--rel-tol" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<f64>() {
-                        Ok(t) if t >= 0.0 && t.is_finite() => policy.rel_tol = t,
-                        _ => errors.push(format!("--rel-tol expects a number >= 0, got '{v}'")),
-                    }
-                }
-            }
-            "--allow" => {
-                if let Some(v) = value(&mut errors) {
-                    policy.allowed_counter_changes.push(v);
-                }
-            }
-            "--allow-schema-change" => policy.allow_schema_change = true,
-            other if other.starts_with("--") => errors.push(format!("unknown flag '{other}'")),
-            positional => paths.push(PathBuf::from(positional)),
-        }
-        i += 1;
+    if let Some(t) = args.number("--rel-tol") {
+        policy.rel_tol = t;
     }
+    args.parse("--allow", |prefix| {
+        policy.allowed_counter_changes.push(prefix.to_string());
+        Ok(())
+    });
+    policy.allow_schema_change = args.given(&["--allow-schema-change"]);
+    let paths = args.positionals(|word| Ok(PathBuf::from(word)));
     if paths.len() != 2 {
-        errors.push(format!(
+        args.error(format!(
             "diff expects exactly two dump files, got {}",
             paths.len()
         ));
     }
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
 
@@ -1591,76 +1667,19 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 /// `repro ci-gate --baseline DIR` — replay every baseline at its
 /// recorded configuration and diff the fresh run against it.
 fn cmd_ci_gate(args: &[String]) -> ExitCode {
-    let mut baseline_dir: Option<PathBuf> = None;
-    let mut jobs = None;
-    let mut cache_dir = None;
-    let mut progress = Progress::Quiet;
+    let mut args = scan(&CI_GATE, args);
+    let dir = args.path("--baseline");
+    let jobs = args.count("--jobs").unwrap_or_else(default_jobs);
+    let cache_dir = args.path("--cache-dir");
+    let progress = args.progress();
     let mut policy = DiffPolicy::default();
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--baseline" => {
-                if let Some(v) = value(&mut errors) {
-                    baseline_dir = Some(PathBuf::from(v));
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--cache-dir" => {
-                if let Some(v) = value(&mut errors) {
-                    cache_dir = Some(PathBuf::from(v));
-                }
-            }
-            "--rel-tol" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<f64>() {
-                        Ok(t) if t >= 0.0 && t.is_finite() => policy.rel_tol = t,
-                        _ => errors.push(format!("--rel-tol expects a number >= 0, got '{v}'")),
-                    }
-                }
-            }
-            "--progress" => match parse_progress(inline.as_deref()) {
-                Ok(p) => progress = p,
-                Err(e) => errors.push(e),
-            },
-            other => errors.push(format!("unknown argument '{other}'")),
-        }
-        i += 1;
+    if let Some(t) = args.number("--rel-tol") {
+        policy.rel_tol = t;
     }
-    let Some(dir) = baseline_dir else {
-        errors.push("ci-gate requires --baseline DIR".to_string());
-        return fail(&errors);
-    };
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
-    let jobs = jobs.unwrap_or_else(default_jobs);
+    let dir = dir.expect("--baseline is required");
 
     let mut files: Vec<PathBuf> = match std::fs::read_dir(&dir) {
         Ok(entries) => entries
@@ -1918,118 +1937,29 @@ fn check_trace(path: &PathBuf, format: Format) -> ExitCode {
 /// file recorded by `repro --trace-out` (span structure and
 /// job-finished/span matching; see `hetsim_obs::validate_events`).
 fn cmd_check(args: &[String]) -> ExitCode {
-    let mut fuzz: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut insts: Option<u64> = None;
-    let mut trace_in: Option<PathBuf> = None;
-    let mut format = Format::Table;
-    let mut jobs = None;
-    let mut cache_dir = None;
-    let mut progress = Progress::Quiet;
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--fuzz" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => fuzz = Some(n),
-                        _ => errors.push(format!("--fuzz expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) => seed = Some(n),
-                        _ => errors.push(format!("--seed expects an integer, got '{v}'")),
-                    }
-                }
-            }
-            "--insts" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => insts = Some(n),
-                        _ => errors.push(format!("--insts expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--trace-in" => {
-                if let Some(v) = value(&mut errors) {
-                    trace_in = Some(PathBuf::from(v));
-                }
-            }
-            "--format" => {
-                if let Some(v) = value(&mut errors) {
-                    match parse_format(&v) {
-                        Ok(f) if f != Format::Csv => format = f,
-                        Ok(_) => errors.push("check supports --format table or json".to_string()),
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--cache-dir" => {
-                if let Some(v) = value(&mut errors) {
-                    cache_dir = Some(PathBuf::from(v));
-                }
-            }
-            "--progress" => match parse_progress(inline.as_deref()) {
-                Ok(p) => progress = p,
-                Err(e) => errors.push(e),
-            },
-            other => errors.push(format!("unknown argument '{other}'")),
-        }
-        i += 1;
+    let mut args = scan(&CHECK, args);
+    let fuzz = args.count("--fuzz").unwrap_or(8);
+    let seed = args.int::<u64>("--seed").unwrap_or(42);
+    let insts = args.count("--insts").unwrap_or(DEFAULT_BASELINE_INSTS);
+    let format = args.format().unwrap_or(Format::Table);
+    let jobs = args.count("--jobs").unwrap_or_else(default_jobs);
+    let cache_dir = args.path("--cache-dir");
+    let progress = args.progress();
+    let trace_in = args.path("--trace-in");
+    // Trace validation is a pure file check: the flags that shape the
+    // campaign/fuzz phases have nothing to act on.
+    if trace_in.is_some() && args.given(&["--fuzz", "--seed", "--insts"]) {
+        args.error(
+            "--trace-in validates an existing trace; it cannot be combined with \
+             --fuzz, --seed or --insts",
+        );
     }
-    if let Some(path) = &trace_in {
-        // Trace validation is a pure file check: the flags that shape
-        // the campaign/fuzz phases have nothing to act on.
-        if fuzz.is_some() || seed.is_some() || insts.is_some() {
-            errors.push(
-                "--trace-in validates an existing trace; it cannot be combined with \
-                 --fuzz, --seed or --insts"
-                    .to_string(),
-            );
-        }
-        if !errors.is_empty() {
-            return fail(&errors);
-        }
-        return check_trace(path, format);
-    }
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
-    let fuzz = fuzz.unwrap_or(8);
-    let seed = seed.unwrap_or(42);
-    let insts = insts.unwrap_or(DEFAULT_BASELINE_INSTS);
-    let jobs = jobs.unwrap_or_else(default_jobs);
+    if let Some(path) = &trace_in {
+        return check_trace(path, format);
+    }
     let suite = Suite {
         insts_per_app: insts,
         ..Suite::default()
@@ -2314,158 +2244,73 @@ fn load_bench_dump(path: &PathBuf) -> Result<hetsim_bench::BenchDump, String> {
 /// it diffs the two files without running anything. Exits non-zero
 /// when any scenario regressed past the noise-aware tolerance.
 fn cmd_bench(args: &[String]) -> ExitCode {
-    let mut quick = false;
-    let mut insts: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut warmup: Option<u32> = None;
-    let mut repeats: Option<u32> = None;
-    let mut jobs: Option<usize> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut compare_base: Option<PathBuf> = None;
-    let mut candidate: Option<PathBuf> = None;
-    let mut rel_tol: Option<f64> = None;
-    let mut ratchet = false;
-    let mut trend = false;
-    let mut format = Format::Table;
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--quick" => quick = true,
-            "--insts" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => insts = Some(n),
-                        _ => errors.push(format!("--insts expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) => seed = Some(n),
-                        _ => errors.push(format!("--seed expects an integer, got '{v}'")),
-                    }
-                }
-            }
-            "--warmup" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u32>() {
-                        Ok(n) => warmup = Some(n),
-                        _ => errors.push(format!("--warmup expects an integer >= 0, got '{v}'")),
-                    }
-                }
-            }
-            "--repeats" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u32>() {
-                        Ok(n) if n >= 1 => repeats = Some(n),
-                        _ => errors.push(format!("--repeats expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--out" => {
-                if let Some(v) = value(&mut errors) {
-                    out = Some(PathBuf::from(v));
-                }
-            }
-            "--compare" => {
-                if let Some(v) = value(&mut errors) {
-                    compare_base = Some(PathBuf::from(v));
-                }
-            }
-            "--rel-tol" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<f64>() {
-                        Ok(t) if t >= 0.0 && t.is_finite() => rel_tol = Some(t),
-                        _ => errors.push(format!("--rel-tol expects a number >= 0, got '{v}'")),
-                    }
-                }
-            }
-            "--ratchet" => ratchet = true,
-            "--trend" => trend = true,
-            "--format" => {
-                if let Some(v) = value(&mut errors) {
-                    match parse_format(&v) {
-                        Ok(f) if f != Format::Csv => format = f,
-                        Ok(_) => errors.push("bench supports --format table or json".to_string()),
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            other if other.starts_with("--") => errors.push(format!("unknown flag '{other}'")),
-            positional => {
-                if candidate.is_none() {
-                    candidate = Some(PathBuf::from(positional));
-                } else {
-                    errors.push(format!("unexpected argument '{positional}'"));
-                }
-            }
-        }
-        i += 1;
+    let mut args = scan(&BENCH, args);
+    let mut cfg = if args.given(&["--quick"]) {
+        BenchConfig::quick()
+    } else {
+        BenchConfig::default()
+    };
+    if let Some(n) = args.count("--insts") {
+        // An explicit budget wins over --quick wherever it appears.
+        cfg.insts = n;
     }
+    if let Some(s) = args.int("--seed") {
+        cfg.seed = s;
+    }
+    if let Some(w) = args.int("--warmup") {
+        cfg.warmup = w;
+    }
+    if let Some(r) = args.count("--repeats") {
+        cfg.repeats = r;
+    }
+    cfg.jobs = args.count("--jobs").unwrap_or_else(default_jobs);
+    let format = args.format().unwrap_or(Format::Table);
+    let out = args.path("--out");
+    let compare_base = args.path("--compare");
+    let rel_tol = args.number("--rel-tol");
+    let ratchet = args.given(&["--ratchet"]);
+    let trend = args.given(&["--trend"]);
+    let mut seen = 0;
+    let candidate = args
+        .positionals(|word| {
+            seen += 1;
+            match seen {
+                1 => Ok(PathBuf::from(word)),
+                _ => Err(format!("unexpected argument '{word}'")),
+            }
+        })
+        .pop();
     if candidate.is_some() && compare_base.is_none() {
-        errors.push("a positional CANDIDATE.json requires --compare BASELINE.json".to_string());
+        args.error("a positional CANDIDATE.json requires --compare BASELINE.json");
     }
-    if candidate.is_some() && (out.is_some() || insts.is_some() || quick) {
-        errors.push(
+    if candidate.is_some() && args.given(&["--out", "--insts", "--quick"]) {
+        args.error(
             "comparing two existing dumps runs nothing; it cannot be combined with \
-             --out, --insts or --quick"
-                .to_string(),
+             --out, --insts or --quick",
         );
     }
     if ratchet && rel_tol.is_some() {
-        errors.push(
-            "--ratchet pins the CI tolerance; it cannot be combined with --rel-tol".to_string(),
-        );
+        args.error("--ratchet pins the CI tolerance; it cannot be combined with --rel-tol");
     }
-    if trend
-        && (quick
-            || insts.is_some()
-            || seed.is_some()
-            || warmup.is_some()
-            || repeats.is_some()
-            || jobs.is_some()
-            || out.is_some()
-            || compare_base.is_some()
-            || candidate.is_some()
-            || rel_tol.is_some()
-            || ratchet)
-    {
-        errors.push(
+    let measures = [
+        "--quick",
+        "--insts",
+        "--seed",
+        "--warmup",
+        "--repeats",
+        "--jobs",
+        "--out",
+        "--compare",
+        "--rel-tol",
+        "--ratchet",
+    ];
+    if trend && (candidate.is_some() || args.given(&measures)) {
+        args.error(
             "--trend reads the existing BENCH_*.json dumps and runs nothing; it cannot \
-             be combined with measurement or comparison flags"
-                .to_string(),
+             be combined with measurement or comparison flags",
         );
     }
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
     if trend {
@@ -2505,25 +2350,6 @@ fn cmd_bench(args: &[String]) -> ExitCode {
     }
 
     // Measure fresh.
-    let mut cfg = if quick {
-        BenchConfig::quick()
-    } else {
-        BenchConfig::default()
-    };
-    if let Some(n) = insts {
-        // An explicit budget wins over --quick wherever it appears.
-        cfg.insts = n;
-    }
-    if let Some(s) = seed {
-        cfg.seed = s;
-    }
-    if let Some(w) = warmup {
-        cfg.warmup = w;
-    }
-    if let Some(r) = repeats {
-        cfg.repeats = r;
-    }
-    cfg.jobs = jobs.unwrap_or_else(default_jobs);
     let dump = run_bench(&cfg);
 
     if let Some(path) = &out {
@@ -2568,143 +2394,39 @@ fn cmd_bench(args: &[String]) -> ExitCode {
 /// additionally writes the full frontier dump (unless `--format json`,
 /// which already prints that dump on stdout).
 fn cmd_explore(args: &[String]) -> ExitCode {
+    let mut args = scan(&EXPLORE, args);
+    // The built-in space is the only one; `--space` just names it.
+    args.choice("--space");
     let mut space = DesignSpace::fig7();
-    let mut budget: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut insts: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut format = Format::Table;
-    let mut format_set = false;
-    let mut frontier_out: Option<PathBuf> = None;
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--space" => {
-                if let Some(v) = value(&mut errors) {
-                    if v != "fig7" {
-                        errors.push(format!("--space expects fig7, got '{v}'"));
-                    }
-                }
-            }
-            "--budget" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => budget = Some(n),
-                        _ => errors.push(format!("--budget expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) => seed = Some(n),
-                        _ => errors.push(format!("--seed expects an integer, got '{v}'")),
-                    }
-                }
-            }
-            "--insts" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => insts = Some(n),
-                        _ => errors.push(format!("--insts expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--shards" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => shards = Some(n),
-                        _ => errors.push(format!("--shards expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--cache-dir" => {
-                if let Some(v) = value(&mut errors) {
-                    cache_dir = Some(PathBuf::from(v));
-                }
-            }
-            "--sweep" => {
-                if let Some(v) = value(&mut errors) {
-                    if let Err(e) = space.apply_sweep(&v) {
-                        errors.push(e);
-                    }
-                }
-            }
-            "--format" => {
-                if let Some(v) = value(&mut errors) {
-                    match parse_format(&v) {
-                        Ok(f) => {
-                            format = f;
-                            format_set = true;
-                        }
-                        Err(e) => errors.push(e),
-                    }
-                }
-            }
-            "--frontier-out" => {
-                if let Some(v) = value(&mut errors) {
-                    frontier_out = Some(PathBuf::from(v));
-                }
-            }
-            other => errors.push(format!("unknown argument '{other}'")),
-        }
-        i += 1;
-    }
-    if format_set && format == Format::Json && frontier_out.is_some() {
-        errors.push(
+    args.parse("--sweep", |spec| space.apply_sweep(spec));
+    let cfg = ExploreConfig {
+        budget: args
+            .count("--budget")
+            .unwrap_or(hetcore::explore::DEFAULT_BUDGET),
+        seed: args.int("--seed").unwrap_or(42),
+        insts: args.count("--insts").unwrap_or(DEFAULT_EXPLORE_INSTS),
+        jobs: args.count("--jobs").unwrap_or_else(default_jobs),
+        shards: args.count("--shards").unwrap_or(1),
+        cache_dir: args.path("--cache-dir"),
+        cache_bypass: false,
+    };
+    let format = args.format();
+    let frontier_out = args.path("--frontier-out");
+    if format == Some(Format::Json) && frontier_out.is_some() {
+        args.error(
             "--format json writes the frontier dump to stdout; it cannot be combined with \
-             --frontier-out (pick one destination)"
-                .to_string(),
+             --frontier-out (pick one destination)",
         );
     }
     // Cross-axis constraints (DVFS reachability, ROB vs. issue width)
     // are validated with the sweeps applied, before anything runs.
     if let Err(e) = space.validate() {
-        errors.push(e);
+        args.error(e);
     }
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
 
-    let cfg = ExploreConfig {
-        budget: budget.unwrap_or(hetcore::explore::DEFAULT_BUDGET),
-        seed: seed.unwrap_or(42),
-        insts: insts.unwrap_or(DEFAULT_EXPLORE_INSTS),
-        jobs: jobs.unwrap_or_else(default_jobs),
-        shards: shards.unwrap_or(1),
-        cache_dir,
-        cache_bypass: false,
-    };
     let result = match explore(&space, &cfg) {
         Ok(r) => r,
         Err(e) => {
@@ -2720,24 +2442,12 @@ fn cmd_explore(args: &[String]) -> ExitCode {
         }
         eprintln!("wrote frontier dump to {}", path.display());
     }
-    match format {
+    match format.unwrap_or(Format::Table) {
         Format::Table => print!("{}", result.frontier_report()),
         Format::Csv => print!("{}", result.frontier_report().to_csv()),
         Format::Json => println!("{}", result.to_json()),
     }
     ExitCode::SUCCESS
-}
-
-/// How `repro profile` renders the attribution document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum ProfileFormat {
-    /// The per-design roll-up table (the default).
-    #[default]
-    Table,
-    /// The raw `hetsim-profile-v1` document.
-    Json,
-    /// Folded stacks (`design;unit;class count`) for flamegraph tools.
-    Folded,
 }
 
 /// The per-design roll-up: units merged per `(design, unit kind)` —
@@ -2810,114 +2520,26 @@ fn render_profile_table(profile: &CycleProfile, insts: u64, seed: u64) -> String
 /// workers simulate and their fragments merge, exactly like sharded
 /// trace logs stitch.
 fn cmd_profile(args: &[String]) -> ExitCode {
+    let mut args = scan(&PROFILE, args);
     let mut suite = Suite::default();
-    let mut quick = false;
-    let mut insts: Option<u64> = None;
-    let mut seed: Option<u64> = None;
-    let mut jobs: Option<usize> = None;
-    let mut shards: Option<usize> = None;
-    let mut format = ProfileFormat::default();
-    let mut out: Option<PathBuf> = None;
-    let mut counters_out: Option<PathBuf> = None;
-    let mut requested: Vec<Experiment> = Vec::new();
-    let mut errors = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let (name, inline) = match arg.split_once('=') {
-            Some((n, v)) if n.starts_with("--") => (n, Some(v.to_string())),
-            _ => (arg, None),
-        };
-        let mut value = |errors: &mut Vec<String>| -> Option<String> {
-            if let Some(v) = inline.clone() {
-                return Some(v);
-            }
-            i += 1;
-            match args.get(i) {
-                Some(v) => Some(v.clone()),
-                None => {
-                    errors.push(format!("{name} requires a value"));
-                    None
-                }
-            }
-        };
-        match name {
-            "--quick" => quick = true,
-            "--insts" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) if n >= 1 => insts = Some(n),
-                        _ => errors.push(format!("--insts expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--seed" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<u64>() {
-                        Ok(n) => seed = Some(n),
-                        _ => errors.push(format!("--seed expects an integer, got '{v}'")),
-                    }
-                }
-            }
-            "--jobs" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => jobs = Some(n),
-                        _ => errors.push(format!("--jobs expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--shards" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.parse::<usize>() {
-                        Ok(n) if n >= 1 => shards = Some(n),
-                        _ => errors.push(format!("--shards expects an integer >= 1, got '{v}'")),
-                    }
-                }
-            }
-            "--format" => {
-                if let Some(v) = value(&mut errors) {
-                    match v.as_str() {
-                        "table" => format = ProfileFormat::Table,
-                        "json" => format = ProfileFormat::Json,
-                        "folded" => format = ProfileFormat::Folded,
-                        other => errors.push(format!(
-                            "--format expects table, json or folded, got '{other}'"
-                        )),
-                    }
-                }
-            }
-            "--out" => {
-                if let Some(v) = value(&mut errors) {
-                    out = Some(PathBuf::from(v));
-                }
-            }
-            "--counters-out" => {
-                if let Some(v) = value(&mut errors) {
-                    counters_out = Some(PathBuf::from(v));
-                }
-            }
-            other if other.starts_with("--") => errors.push(format!("unknown flag '{other}'")),
-            word => match Experiment::from_cli_name(word) {
-                Some(e) => requested.push(e),
-                None => errors.push(format!("unknown experiment '{word}'")),
-            },
-        }
-        i += 1;
+    if args.given(&["--quick"]) {
+        suite.insts_per_app = QUICK_INSTS;
     }
-    if !errors.is_empty() {
-        return fail(&errors);
-    }
-    if quick {
-        suite.insts_per_app = 60_000;
-    }
-    if let Some(n) = insts {
+    if let Some(n) = args.count("--insts") {
         // An explicit budget wins over --quick wherever it appears.
         suite.insts_per_app = n;
     }
-    if let Some(s) = seed {
+    if let Some(s) = args.int("--seed") {
         suite.seed = s;
+    }
+    let jobs = args.count("--jobs");
+    let shards = args.count("--shards");
+    let format = args.choice("--format").unwrap_or("table");
+    let out = args.path("--out");
+    let counters_out = args.path("--counters-out");
+    let mut requested = args.positionals(experiment);
+    if let Err(errors) = args.finish() {
+        return fail(&errors);
     }
     if requested.is_empty() {
         requested = vec![Experiment::Fig7, Experiment::Fig10];
@@ -2988,14 +2610,14 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         );
     }
     let rendered = match format {
-        ProfileFormat::Table => render_profile_table(&profile, table_insts, table_seed),
-        ProfileFormat::Json => {
+        "json" => {
             let mut s = serde_json::to_string_pretty(&profile.to_value())
                 .expect("value trees always serialize");
             s.push('\n');
             s
         }
-        ProfileFormat::Folded => profile.folded(),
+        "folded" => profile.folded(),
+        _ => render_profile_table(&profile, table_insts, table_seed),
     };
     match &out {
         Some(path) => {
@@ -3018,45 +2640,32 @@ fn cmd_profile(args: &[String]) -> ExitCode {
 /// trace into Chrome trace-event JSON, loadable in Perfetto
 /// (<https://ui.perfetto.dev>) or `chrome://tracing`.
 fn cmd_trace_export(args: &[String]) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut errors = Vec::new();
-    for arg in args {
-        if arg.starts_with("--") {
-            errors.push(format!("unknown flag '{arg}'"));
-        } else {
-            paths.push(PathBuf::from(arg));
-        }
-    }
+    let mut args = scan(&TRACE_EXPORT, args);
+    let paths = args.positionals(|word| Ok(PathBuf::from(word)));
     if paths.len() < 2 {
-        errors.push(format!(
+        args.error(format!(
             "trace-export expects IN.jsonl [IN2.jsonl]... and OUT.json, got {} path(s)",
             paths.len()
         ));
     }
-    if !errors.is_empty() {
+    if let Err(errors) = args.finish() {
         return fail(&errors);
     }
     let output = paths.last().expect("length checked").clone();
     // Multiple inputs (per-worker traces of a sharded run) stitch onto
     // disjoint track lanes before export; one input passes through
     // untouched.
-    let mut inputs = Vec::new();
-    for input in &paths[..paths.len() - 1] {
-        let text = match std::fs::read_to_string(input) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read {}: {e}", input.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match parse_jsonl(&text) {
-            Ok(events) => inputs.push(events),
-            Err(e) => {
-                eprintln!("error: {}: {e}", input.display());
-                return ExitCode::FAILURE;
-            }
+    let inputs = match paths[..paths.len() - 1]
+        .iter()
+        .map(|input| read_trace(input))
+        .collect::<Result<Vec<_>, _>>()
+    {
+        Ok(inputs) => inputs,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    }
+    };
     let events = stitch_traces(inputs);
     let chrome = chrome_trace(&events);
     let json = match serde_json::to_string_pretty(&chrome) {

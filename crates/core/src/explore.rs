@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use hetsim_device::dvfs::DvfsController;
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{config_object, Job, JobKey, Runner};
+use hetsim_runner::{config_object, run_partitioned, Job, JobKey, Runner};
 use hetsim_stats::pareto;
 use hetsim_trace::apps;
 use serde::value::Value;
@@ -575,10 +575,10 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
 }
 
 /// Evaluates one wave of candidates: builds the (candidate × app) job
-/// batch, partitions it across the shard runners by [`JobKey::shard_of`]
-/// (the same coordination-free split the campaign shard protocol uses),
-/// runs the shards on scoped threads, merges outcomes back by
-/// submission index, and folds each candidate's per-app outcomes into
+/// batch, runs it across the shard runners with `run_partitioned` (the
+/// same coordination-free split by [`JobKey::shard_of`] the campaign
+/// shard protocol uses, one scoped thread per shard, outcomes in
+/// submission order), and folds each candidate's per-app outcomes into
 /// its aggregate objectives.
 fn evaluate_wave(
     space: &DesignSpace,
@@ -587,39 +587,17 @@ fn evaluate_wave(
     wave: &[[usize; 4]],
 ) -> Vec<EvaluatedPoint> {
     let apps_n = space.apps.len();
-    let shards = runners.len();
-    let mut per_shard: Vec<Vec<(usize, Job<CpuOutcome>)>> =
-        (0..shards).map(|_| Vec::new()).collect();
-    for (ci, &coords) in wave.iter().enumerate() {
-        let candidate = space.candidate(coords);
-        for (ai, app) in space.apps.iter().enumerate() {
-            let job = explore_job(candidate, app, cfg.seed, cfg.insts);
-            per_shard[job.key.shard_of(shards)].push((ci * apps_n + ai, job));
-        }
-    }
-
-    let mut slots: Vec<Option<CpuOutcome>> = (0..wave.len() * apps_n).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = per_shard
-            .into_iter()
-            .zip(runners)
-            .map(|(shard_jobs, runner)| {
-                s.spawn(move || {
-                    let (indices, batch): (Vec<usize>, Vec<Job<CpuOutcome>>) =
-                        shard_jobs.into_iter().unzip();
-                    indices
-                        .into_iter()
-                        .zip(runner.run(batch))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (index, outcome) in handle.join().expect("shard thread") {
-                slots[index] = Some(outcome);
-            }
-        }
-    });
+    let jobs = wave
+        .iter()
+        .flat_map(|&coords| {
+            let candidate = space.candidate(coords);
+            space
+                .apps
+                .iter()
+                .map(move |app| explore_job(candidate, app, cfg.seed, cfg.insts))
+        })
+        .collect();
+    let outcomes = run_partitioned(runners, jobs);
 
     wave.iter()
         .enumerate()
@@ -627,8 +605,7 @@ fn evaluate_wave(
             let mut time_s = 0.0;
             let mut energy_j = 0.0;
             let mut committed = 0;
-            for slot in &slots[ci * apps_n..(ci + 1) * apps_n] {
-                let outcome = slot.as_ref().expect("every job merged back");
+            for outcome in &outcomes[ci * apps_n..(ci + 1) * apps_n] {
                 time_s += outcome.seconds;
                 energy_j += outcome.energy.total_j();
                 committed += outcome.committed;

@@ -231,3 +231,127 @@ fn diff_fails_cleanly_on_missing_files() {
         "names the unreadable file: {stderr}"
     );
 }
+
+#[test]
+fn subcommand_flags_accept_the_inline_form() {
+    assert_rejected(
+        &["explore", "--budget=0"],
+        "--budget expects an integer >= 1, got '0'",
+    );
+}
+
+#[test]
+fn progress_never_consumes_the_next_word() {
+    // A bare --progress takes no value, so `fig99` stays an experiment
+    // word and is rejected as one.
+    assert_rejected(&["--progress", "fig99"], "unknown experiment 'fig99'");
+}
+
+#[test]
+fn errors_are_reported_in_argument_order() {
+    let out = repro(&["check", "--format", "yaml", "--bogus", "--fuzz", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    let at = |needle: &str| {
+        stderr
+            .find(needle)
+            .unwrap_or_else(|| panic!("missing '{needle}': {stderr}"))
+    };
+    assert!(at("--format expects") < at("unknown argument '--bogus'"));
+    assert!(at("unknown argument '--bogus'") < at("--fuzz expects"));
+}
+
+#[test]
+fn baseline_rejects_zero_jobs_and_a_missing_directory() {
+    assert_rejected(
+        &["baseline", "out-dir", "--jobs", "0"],
+        "--jobs expects an integer >= 1, got '0'",
+    );
+    assert_rejected(&["baseline"], "baseline requires an output directory");
+    assert_rejected(
+        &["baseline", "out-dir", "fig99"],
+        "unknown experiment 'fig99'",
+    );
+}
+
+#[test]
+fn ci_gate_requires_a_baseline_directory() {
+    assert_rejected(&["ci-gate"], "ci-gate requires --baseline DIR");
+    assert_rejected(
+        &["ci-gate", "--jobs", "2"],
+        "ci-gate requires --baseline DIR",
+    );
+}
+
+#[test]
+fn profile_rejects_unknown_format_and_zero_shards() {
+    assert_rejected(
+        &["profile", "--format", "yaml"],
+        "--format expects table, json or folded, got 'yaml'",
+    );
+    assert_rejected(
+        &["profile", "--shards", "0"],
+        "--shards expects an integer >= 1, got '0'",
+    );
+    assert_rejected(&["profile", "--wat"], "unknown flag '--wat'");
+}
+
+#[test]
+fn bench_rejects_compare_conflicts() {
+    assert_rejected(
+        &["bench", "--compare", "a.json", "b.json", "--insts", "5"],
+        "comparing two existing dumps runs nothing; it cannot be combined with \
+         --out, --insts or --quick",
+    );
+    assert_rejected(
+        &["bench", "--compare", "a.json", "b.json", "--quick"],
+        "comparing two existing dumps runs nothing",
+    );
+    assert_rejected(
+        &["bench", "--trend", "--compare", "a.json"],
+        "--trend reads the existing BENCH_*.json dumps and runs nothing",
+    );
+    assert_rejected(
+        &["bench", "--compare", "a.json", "b.json", "c.json"],
+        "unexpected argument 'c.json'",
+    );
+}
+
+/// Runs `table1` (no simulation) with `args` and returns stdout, and
+/// the `run.insts` the stats dump recorded.
+fn table1_run(args: &[&str], dump: &std::path::Path) -> (String, u64) {
+    let dump_arg = dump.to_str().expect("utf8 path");
+    let mut all = vec!["table1", "--stats-out", dump_arg];
+    all.extend_from_slice(args);
+    let out = repro(&all);
+    assert!(out.status.success(), "{all:?} must succeed");
+    let text = std::fs::read_to_string(dump).expect("dump written");
+    let value: serde_json::Value = serde_json::from_str(&text).expect("dump parses");
+    let insts = value
+        .get("run")
+        .and_then(|r| r.get("insts"))
+        .and_then(serde_json::Value::as_u64)
+        .expect("run.insts recorded");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), insts)
+}
+
+#[test]
+fn insts_beats_quick_and_json_aliases_format_in_either_order() {
+    let dir = std::env::temp_dir().join(format!("repro-cli-args-{}", std::process::id()));
+    let dump = dir.join("table1.json");
+    for order in [["--insts", "777", "--quick"], ["--quick", "--insts", "777"]] {
+        let (_, insts) = table1_run(&order, &dump);
+        assert_eq!(insts, 777, "{order:?}: --insts wins over --quick");
+    }
+    // `--json` is `--format json`: whichever comes last wins.
+    let (json, _) = table1_run(&["--format", "csv", "--json"], &dump);
+    assert!(json.starts_with('['), "json output: {json}");
+    let (csv, _) = table1_run(&["--json", "--format", "csv"], &dump);
+    assert!(!csv.starts_with('['), "csv output: {csv}");
+    assert_eq!(
+        json,
+        table1_run(&["--format=json"], &dump).0,
+        "--json and --format=json render the same bytes"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

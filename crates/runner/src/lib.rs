@@ -55,8 +55,8 @@ pub use progress::{
 };
 pub use runner::Runner;
 pub use shard::{
-    fragment_path, manifest_path, partition, supervise, trace_path, ShardEventSink, ShardManifest,
-    ShardPolicy, ShardRun, WorkerEvent, SHARD_SCHEMA,
+    fragment_path, manifest_path, partition, run_partitioned, supervise, trace_path,
+    ShardEventSink, ShardManifest, ShardPolicy, ShardRun, WorkerEvent, SHARD_SCHEMA,
 };
 pub use sinks::{MultiSink, TraceEventSink};
 pub use timing::RunnerTiming;

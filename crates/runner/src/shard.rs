@@ -45,8 +45,10 @@ use serde::value::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::write_atomic;
-use crate::job::JobKey;
+use crate::job::{Job, JobKey};
 use crate::progress::{ProgressEvent, ProgressSink, Provenance};
+use crate::runner::Runner;
+use crate::SimMetrics;
 
 /// Schema tag of manifest and fragment files; bump on incompatible
 /// layout changes so stale shard directories retire themselves.
@@ -66,6 +68,53 @@ pub fn partition(keys: &[JobKey], shards: usize) -> Vec<Vec<usize>> {
         out[key.shard_of(shards)].push(index);
     }
     out
+}
+
+/// Runs `jobs` in process, split by [`partition`] into one shard per
+/// runner: shard `i` runs on `runners[i]`, each shard on its own scoped
+/// thread. Outcomes come back in submission order, so the result is the
+/// one a single runner produces, for any number of runners.
+///
+/// # Panics
+///
+/// When `runners` is empty, or a shard thread panics.
+pub fn run_partitioned<T>(runners: &[Runner<T>], jobs: Vec<Job<T>>) -> Vec<T>
+where
+    T: Clone + Send + Serialize + Deserialize + SimMetrics,
+{
+    assert!(
+        !runners.is_empty(),
+        "run_partitioned needs at least one runner"
+    );
+    let keys: Vec<JobKey> = jobs.iter().map(|job| job.key).collect();
+    let parts = partition(&keys, runners.len());
+    let mut jobs: Vec<Option<Job<T>>> = jobs.into_iter().map(Some).collect();
+    let batches: Vec<Vec<Job<T>>> = parts
+        .iter()
+        .map(|part| {
+            part.iter()
+                .map(|&index| jobs[index].take().expect("partition is an exact cover"))
+                .collect()
+        })
+        .collect();
+    let mut outcomes: Vec<Option<T>> = (0..keys.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = batches
+            .into_iter()
+            .zip(runners)
+            .map(|(batch, runner)| scope.spawn(move || runner.run(batch)))
+            .collect();
+        for (part, handle) in parts.iter().zip(handles) {
+            let results = handle.join().expect("shard thread panicked");
+            for (&index, outcome) in part.iter().zip(results) {
+                outcomes[index] = Some(outcome);
+            }
+        }
+    });
+    outcomes
+        .into_iter()
+        .map(|outcome| outcome.expect("every shard returns one outcome per job"))
+        .collect()
 }
 
 /// The commit record one worker writes (atomically, last) after every

@@ -6,13 +6,46 @@
 //! key material — the unit tests in `shard.rs` cover the hand-picked
 //! edges, this file covers the space between them.
 
-use hetsim_runner::{partition, JobKey};
+use hetsim_runner::{partition, run_partitioned, Job, JobKey, Runner, SimMetrics};
 use proptest::prelude::*;
+use serde::value::Value;
 
 /// Arbitrary key material: keys derive from hashed byte strings, the
 /// same way real jobs derive them from canonical configs.
 fn keys_from(seeds: &[Vec<u8>]) -> Vec<JobKey> {
     seeds.iter().map(|s| JobKey::from_bytes(s)).collect()
+}
+
+/// A job outcome that records which job produced it, so a merge that
+/// put outcomes in the wrong slot shows up as a mismatch.
+#[derive(Debug, Clone, PartialEq)]
+struct Out(u64);
+
+impl serde::Serialize for Out {
+    fn to_value(&self) -> Value {
+        self.0.to_value()
+    }
+}
+
+impl serde::Deserialize for Out {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        u64::from_value(v).map(Out)
+    }
+}
+
+impl SimMetrics for Out {}
+
+/// `n` jobs whose outcomes depend on their index and `salt`.
+fn jobs(n: u64, salt: u64) -> Vec<Job<Out>> {
+    (0..n)
+        .map(|i| {
+            Job::keyed(
+                &("shard-props-v1", (salt, i)),
+                format!("job{i}"),
+                move || Out(salt.wrapping_mul(31).wrapping_add(i)),
+            )
+        })
+        .collect()
 }
 
 proptest! {
@@ -109,5 +142,19 @@ proptest! {
         for key in keys_from(&seeds) {
             prop_assert_eq!(JobKey::from_hex(&key.hex()), Some(key));
         }
+    }
+
+    /// The in-process shard executor: splitting a batch across any
+    /// number of runners returns exactly what one runner returns, in
+    /// submission order.
+    #[test]
+    fn run_partitioned_equals_a_single_runner(
+        n in 0u64..60,
+        shards in 1usize..8,
+        salt in any::<u64>(),
+    ) {
+        let single = Runner::serial().run(jobs(n, salt));
+        let runners: Vec<Runner<Out>> = (0..shards).map(|_| Runner::serial()).collect();
+        prop_assert_eq!(run_partitioned(&runners, jobs(n, salt)), single);
     }
 }
