@@ -12,8 +12,8 @@
 //!
 //! * `fig7-cpu-campaign` — the full CPU design x application sweep
 //!   (the figure 7/8/9/13 workload), on a cache-bypassing runner;
-//! * `fig7-sharded` — the same sweep split into two shards by the
-//!   shard protocol's partitioner and merged back by submission index,
+//! * `fig7-sharded` — the same sweep as `--shards 2` runs it: split
+//!   into two shards by job key and merged back by submission index,
 //!   pinning the partition-and-merge overhead;
 //! * `fig10-gpu-campaign` — the full GPU design x kernel sweep
 //!   (figures 10/11/12), same runner mode;
@@ -38,7 +38,7 @@ use hetsim_device::dvfs::DvfsController;
 use hetsim_mem::hierarchy::Hierarchy;
 use hetsim_obs::{Clock, MonotonicClock};
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{run_partitioned, Runner};
+use hetsim_runner::{workers_per_shard, Runner};
 use hetsim_trace::apps;
 
 use crate::config::{CpuDesign, GpuDesign};
@@ -130,31 +130,20 @@ where
     Runner::new(jobs.max(1)).with_cache_bypass(true)
 }
 
-/// The full CPU campaign; returns total committed instructions.
-fn run_fig7(cfg: &BenchConfig) -> u64 {
-    let campaign = cfg.suite().cpu_campaign_with(&bench_runner(cfg.jobs));
+/// The full CPU campaign as `--shards shards` runs it: one bypass
+/// runner per shard, splitting the worker budget by `workers_per_shard`,
+/// the job list split between them by key. `fig7-sharded` (two shards)
+/// simulates the same work as `fig7-cpu-campaign` (one), so the
+/// insts/sec gap between the two is the partition-and-merge overhead.
+/// Returns total committed instructions.
+fn run_fig7(cfg: &BenchConfig, shards: usize) -> u64 {
+    let workers = workers_per_shard(cfg.jobs, shards);
+    let runners: Vec<_> = (0..shards).map(|_| bench_runner(workers)).collect();
+    let campaign = cfg.suite().cpu_campaign_sharded(&runners);
     campaign
         .outcomes
         .iter()
         .flatten()
-        .map(|o| o.committed)
-        .sum()
-}
-
-/// The CPU campaign executed through the shard protocol's partitioner:
-/// the job list splits into two shards by key (the exact partition
-/// `--shards 2` uses) and runs through `run_partitioned`, one bypass
-/// runner and thread per shard.
-/// Same simulated work as `fig7-cpu-campaign`, so the insts/sec gap
-/// between the two is the partition-and-merge overhead (without the
-/// process-spawn and cache-transport costs of real `--shards`, which
-/// a wall-clock benchmark of subprocesses would smear with exec and
-/// I/O noise). Returns total committed instructions.
-fn run_fig7_sharded(cfg: &BenchConfig) -> u64 {
-    const SHARDS: usize = 2;
-    let runners: Vec<_> = (0..SHARDS).map(|_| bench_runner(cfg.jobs)).collect();
-    run_partitioned(&runners, cfg.suite().cpu_campaign_jobs())
-        .iter()
         .map(|o| o.committed)
         .sum()
 }
@@ -281,8 +270,8 @@ fn run_micro_event_queue(cfg: &BenchConfig) -> u64 {
 /// simulated. Panics on an unknown name (the menu is [`SCENARIOS`]).
 fn run_scenario(name: &str, cfg: &BenchConfig) -> u64 {
     match name {
-        "fig7-cpu-campaign" => run_fig7(cfg),
-        "fig7-sharded" => run_fig7_sharded(cfg),
+        "fig7-cpu-campaign" => run_fig7(cfg, 1),
+        "fig7-sharded" => run_fig7(cfg, 2),
         "fig10-gpu-campaign" => run_fig10(cfg),
         "fig14-dvfs" => run_fig14(cfg),
         "explore-frontier" => run_explore_frontier(cfg),

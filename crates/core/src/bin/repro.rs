@@ -51,9 +51,13 @@
 //! The campaigns run on the `hetsim-runner` engine: `--jobs N` sets the
 //! worker-thread count (default: all available cores; output is
 //! bit-identical for any `N`), `--cache-dir PATH` persists simulation
-//! outcomes as content-addressed JSON so reruns are near-free, and
-//! `--progress` narrates per-job completion and cache hits on stderr
-//! (`--progress=dashboard` draws a live in-place dashboard on a TTY).
+//! outcomes as content-addressed JSON so reruns are near-free,
+//! `--shards N` splits each campaign by job key across N runners in
+//! this process (`hetsim_runner::run_partitioned`; the `--jobs` threads
+//! are divided between them, and output is bit-identical for any `N`),
+//! and `--progress` narrates per-job completion and cache hits on
+//! stderr (`--progress=dashboard` draws a live in-place dashboard on a
+//! TTY).
 //!
 //! Observability (see `hetsim_obs`): `--trace-out PATH` records every
 //! job's phases (cache lookup, queue wait, simulate, cache write) plus
@@ -71,11 +75,9 @@
 //! folded stacks for flamegraph tools (`--format folded`);
 //! `--counters-out` additionally writes Perfetto counter tracks.
 //! `--profile-out PATH` on a plain run opts the same attribution into
-//! any campaign and writes the document to `PATH` (on `--shards` runs
-//! the per-worker fragments are merged, like traces are stitched).
-//! Like tracing it is strictly additive: headline stdout stays
-//! byte-identical, and with profiling off the simulators skip all
-//! histogram work.
+//! any campaign and writes the document to `PATH`. Like tracing it is
+//! strictly additive: headline stdout stays byte-identical, and with
+//! profiling off the simulators skip all histogram work.
 //!
 //! Arguments are validated up front: any unknown argument (or any flag
 //! missing its value) fails the run before any experiment starts, no
@@ -108,13 +110,11 @@ use hetsim_obs::{
     TraceRecorder,
 };
 use hetsim_runner::{
-    design_of, fragment_path, manifest_path, supervise, trace_path, write_atomic, DashboardSink,
-    Job, MultiSink, NullSink, ProgressEvent, ProgressSink, Runner, RunnerStats, RunnerTiming,
-    ShardEventSink, ShardManifest, ShardPolicy, StderrSink, TraceEventSink, WorkerEvent,
-    SHARD_SCHEMA,
+    workers_per_shard, write_atomic, DashboardSink, MultiSink, NullSink, ProgressSink, Runner,
+    RunnerStats, RunnerTiming, StderrSink, TraceEventSink,
 };
 use hetsim_stats::attribution::{self, CycleClass};
-use serde::{Deserialize as _, Serialize as _};
+use serde::Serialize as _;
 
 /// How reports are rendered on stdout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,25 +365,6 @@ const TRACE_EXPORT: Command = Command {
     name: "trace-export",
     flags: &[],
     positionals: "IN.jsonl [IN2.jsonl]... OUT.json",
-};
-
-/// The worker half of `--shards` (see `cmd_shard_worker`); hidden from
-/// the usage text.
-const SHARD_WORKER: Command = Command {
-    name: "shard-worker",
-    flags: &[
-        Flag("--shard", Kind::Required("I")),
-        Flag("--shards", Kind::Required("N")),
-        Flag("--attempt", Kind::Value("K")),
-        Flag("--cache-dir", Kind::Required("PATH")),
-        Flag("--out-dir", Kind::Required("PATH")),
-        INSTS,
-        SEED,
-        JOBS,
-        Flag("--trace", Kind::Switch),
-        Flag("--profile", Kind::Switch),
-    ],
-    positionals: "[EXPERIMENT]...",
 };
 
 /// The public commands, in usage order.
@@ -649,7 +630,7 @@ struct Options {
     trace_out: Option<PathBuf>,
     profile_out: Option<PathBuf>,
     jobs: usize,
-    shards: Option<usize>,
+    shards: usize,
     cache_dir: Option<PathBuf>,
     progress: Progress,
 }
@@ -674,7 +655,7 @@ fn parse(args: &[String]) -> Result<Options, Vec<String>> {
     }
     let format = args.format().unwrap_or(Format::Table);
     let jobs = args.count("--jobs").unwrap_or_else(default_jobs);
-    let shards = args.count("--shards");
+    let shards = args.count("--shards").unwrap_or(1);
     let progress = args.progress();
     let stats_out = args.path("--stats-out");
     let trace_out = args.path("--trace-out");
@@ -729,14 +710,18 @@ struct Execution {
 }
 
 /// Runs `requested` + `extensions` on `suite` and collects the output.
-/// This is the one execution path shared by the default command, the
-/// baseline writer and the CI gate, so a replayed baseline is produced
-/// by *exactly* the code a normal run uses.
+/// This is the one execution path shared by the default command,
+/// `profile`, `check`, the baseline writer and the CI gate, so a
+/// replayed baseline is produced by *exactly* the code a normal run
+/// uses. Each campaign runs on `shards` runners (see
+/// `campaign_runners`).
+#[allow(clippy::too_many_arguments)]
 fn execute(
     suite: &Suite,
     requested: &[Experiment],
     extensions: &[Extension],
     jobs: usize,
+    shards: usize,
     cache_dir: &Option<PathBuf>,
     progress: Progress,
     recorder: Option<&Arc<TraceRecorder>>,
@@ -747,11 +732,11 @@ fn execute(
     // their campaigns: their cumulative stats feed the telemetry dump
     // after the reports are rendered.
     let (needs_cpu, needs_gpu) = campaign_needs(requested);
-    let cpu_runner = needs_cpu
-        .then(|| campaign_runner(jobs, cache_dir.as_deref(), &sink, recorder))
+    let cpu_runners = needs_cpu
+        .then(|| campaign_runners(jobs, shards, cache_dir.as_deref(), &sink, recorder))
         .transpose()?;
-    let gpu_runner = needs_gpu
-        .then(|| campaign_runner(jobs, cache_dir.as_deref(), &sink, recorder))
+    let gpu_runners = needs_gpu
+        .then(|| campaign_runners(jobs, shards, cache_dir.as_deref(), &sink, recorder))
         .transpose()?;
     // Zero the event-driven-step telemetry so the skip counters in this
     // dump cover exactly this execution (the atomics are process-global
@@ -759,13 +744,21 @@ fn execute(
     hetsim_cpu::telemetry::reset();
     hetsim_gpu::telemetry::reset();
     let recorder_ref = recorder.map(Arc::as_ref);
-    let cpu = cpu_runner.as_ref().map(|r| {
-        eprintln!("running CPU campaign (11 chips x 14 applications, {jobs} worker(s))...");
-        traced_campaign(recorder_ref, "cpu-campaign", || suite.cpu_campaign_with(r))
+    let workers = match (shards, workers_per_shard(jobs, shards)) {
+        (1, n) => format!("{n} worker(s)"),
+        (s, n) => format!("{s} shard(s) x {n} worker(s)"),
+    };
+    let cpu = cpu_runners.as_ref().map(|r| {
+        eprintln!("running CPU campaign (11 chips x 14 applications, {workers})...");
+        traced_campaign(recorder_ref, "cpu-campaign", || {
+            suite.cpu_campaign_sharded(r)
+        })
     });
-    let gpu = gpu_runner.as_ref().map(|r| {
-        eprintln!("running GPU campaign (5 designs x 20 kernels, {jobs} worker(s))...");
-        traced_campaign(recorder_ref, "gpu-campaign", || suite.gpu_campaign_with(r))
+    let gpu = gpu_runners.as_ref().map(|r| {
+        eprintln!("running GPU campaign (5 designs x 20 kernels, {workers})...");
+        traced_campaign(recorder_ref, "gpu-campaign", || {
+            suite.gpu_campaign_sharded(r)
+        })
     });
 
     let mut reports = Vec::new();
@@ -814,22 +807,22 @@ fn execute(
     if let Some(c) = &gpu {
         dump = dump.with_gpu_campaign(c);
     }
-    if let Some(r) = &cpu_runner {
+    if let Some(r) = &cpu_runners {
         // Fold the event-driven core's skip totals into the (already
         // regression-exempt) timing section.
-        let mut timing = r.total_timing();
+        let (stats, mut timing) = runner_totals(r);
         timing.skipped_cycles = hetsim_cpu::telemetry::skipped_cycles();
         timing.wakeup_jumps = hetsim_cpu::telemetry::wakeup_jumps();
         dump = dump
-            .with_runner("cpu", r.total_stats())
+            .with_runner("cpu", stats)
             .with_runner_timing("cpu", timing);
     }
-    if let Some(r) = &gpu_runner {
-        let mut timing = r.total_timing();
+    if let Some(r) = &gpu_runners {
+        let (stats, mut timing) = runner_totals(r);
         timing.skipped_cycles = hetsim_gpu::telemetry::skipped_cycles();
         timing.wakeup_jumps = hetsim_gpu::telemetry::wakeup_jumps();
         dump = dump
-            .with_runner("gpu", r.total_stats())
+            .with_runner("gpu", stats)
             .with_runner_timing("gpu", timing);
     }
     dump = dump.with_reports(&reports);
@@ -860,29 +853,50 @@ fn execute(
     Ok(execution)
 }
 
-/// A campaign runner on `jobs` worker threads, narrating to `sink`,
-/// persisting outcomes to `cache_dir` and tracing into `recorder` when
-/// given. CPU and GPU campaigns share one cache directory: their key
-/// spaces are separated by schema tags (see `hetcore::campaign`).
-fn campaign_runner<T>(
+/// The `shards` runners of one campaign, splitting `jobs` worker
+/// threads between them (see `workers_per_shard`), all narrating to
+/// `sink`, persisting outcomes to `cache_dir` and tracing into
+/// `recorder` when given. CPU and GPU campaigns share one cache
+/// directory: their key spaces are separated by schema tags (see
+/// `hetcore::campaign`).
+fn campaign_runners<T>(
     jobs: usize,
+    shards: usize,
     cache_dir: Option<&std::path::Path>,
     sink: &Arc<dyn ProgressSink>,
     recorder: Option<&Arc<TraceRecorder>>,
-) -> Result<Runner<T>, String>
+) -> Result<Vec<Runner<T>>, String>
 where
     T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
 {
-    let mut runner = Runner::new(jobs).with_sink(sink.clone());
-    if let Some(dir) = cache_dir {
-        runner = runner
-            .with_cache_dir(dir)
-            .map_err(|e| format!("cannot open cache directory: {e}"))?;
+    (0..shards)
+        .map(|_| {
+            let mut runner = Runner::new(workers_per_shard(jobs, shards)).with_sink(sink.clone());
+            if let Some(dir) = cache_dir {
+                runner = runner
+                    .with_cache_dir(dir)
+                    .map_err(|e| format!("cannot open cache directory: {e}"))?;
+            }
+            if let Some(recorder) = recorder {
+                runner = runner.with_recorder(recorder.clone());
+            }
+            Ok(runner)
+        })
+        .collect()
+}
+
+/// The cumulative stats and phase timing of a campaign's runners.
+fn runner_totals<T>(runners: &[Runner<T>]) -> (RunnerStats, RunnerTiming)
+where
+    T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
+{
+    let mut stats = RunnerStats::default();
+    let mut timing = RunnerTiming::default();
+    for runner in runners {
+        stats.merge(&runner.total_stats());
+        timing.merge(&runner.total_timing());
     }
-    if let Some(recorder) = recorder {
-        runner = runner.with_recorder(recorder.clone());
-    }
-    Ok(runner)
+    (stats, timing)
 }
 
 /// Validates every campaign outcome and the serialized telemetry of one
@@ -962,43 +976,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 /// Runs the experiments `opts` names and writes every requested output.
-/// With `--shards N`, N worker processes first warm a shared cache (see
-/// `run_sharded`), and this process then takes the ordinary path,
-/// answered from that cache.
 fn run(opts: &Options) -> Result<(), String> {
-    // Workers and supervisor communicate through one cache directory.
-    // Without --cache-dir an ephemeral one lives for exactly this run.
-    let mut cache_dir = opts.cache_dir.clone();
-    let mut _cleanup = EphemeralDir(None);
-    let mut progress = opts.progress;
-    let mut shard_dir = None;
-    if let Some(shards) = opts.shards {
-        let dir = cache_dir.get_or_insert_with(|| {
-            let dir = std::env::temp_dir().join(format!("hetsim-shard-run-{}", std::process::id()));
-            _cleanup = EphemeralDir(Some(dir.clone()));
-            dir
-        });
-        let out_dir = dir.join("shards");
-        std::fs::create_dir_all(&out_dir)
-            .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
-        run_sharded(opts, shards, dir, &out_dir, opts.profile_out.is_some())?;
-        // The merge pass below answers every campaign job from the warm
-        // cache, so stdout and the stats dump are byte-for-byte what
-        // `--jobs` alone produces. Progress stays quiet: the shard phase
-        // already narrated the batch.
-        progress = Progress::Quiet;
-        shard_dir = Some((out_dir, shards));
-    }
-
     // The recorder exists only when a trace was requested; without it
     // the run takes exactly the untraced code path, so headline output
     // stays byte-identical. Attribution is the same shape of opt-in:
     // the process-global flag stays off (and the simulators skip all
-    // histogram work) unless --profile-out asked for it. On a sharded
-    // run it stays on for the merge pass too: campaign jobs replay from
-    // cache (publishing nothing), but the inline extension studies
-    // simulate in this process and their rows merge with the worker
-    // fragments.
+    // histogram work) unless --profile-out asked for it.
     if opts.profile_out.is_some() {
         attribution::set_enabled(true);
     }
@@ -1011,18 +994,14 @@ fn run(opts: &Options) -> Result<(), String> {
         &opts.requested,
         &opts.extensions,
         opts.jobs,
-        &cache_dir,
-        progress,
+        opts.shards,
+        &opts.cache_dir,
+        opts.progress,
         recorder.as_ref(),
     )?;
     // Drained exactly once per run; with profiling off the collector
     // was never touched and stays empty.
-    let mut profile = opts.profile_out.is_some().then(collector::take);
-    if let (Some(profile), Some((out_dir, shards))) = (&mut profile, &shard_dir) {
-        let mut merged = merge_profile_fragments(out_dir, *shards)?;
-        merged.merge(profile);
-        *profile = merged;
-    }
+    let profile = opts.profile_out.is_some().then(collector::take);
     let mut dump = execution.dump;
     if let Some(p) = &profile {
         dump = dump.with_profile(p.to_value());
@@ -1034,29 +1013,10 @@ fn run(opts: &Options) -> Result<(), String> {
         eprintln!("wrote counter telemetry to {}", path.display());
     }
     if let (Some(path), Some(recorder)) = (&opts.trace_out, &recorder) {
-        let (events, origin) = match &shard_dir {
-            None => (recorder.events(), String::new()),
-            Some((out_dir, shards)) => {
-                // Per-worker trace logs plus the merge pass, stitched
-                // onto disjoint track lanes.
-                let mut inputs = (0..*shards)
-                    .map(|shard| read_trace(&trace_path(out_dir, shard)))
-                    .collect::<Result<Vec<_>, _>>()?;
-                inputs.push(recorder.events());
-                let origin = format!(" (stitched from {shards} worker(s) + merge pass)");
-                (stitch_traces(inputs), origin)
-            }
-        };
-        let jsonl: String = events
-            .iter()
-            .map(|e| serde_json::to_string(e).expect("value trees always serialize") + "\n")
-            .collect();
+        let jsonl = recorder.to_jsonl();
         write_atomic(path, &jsonl).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "wrote {} trace event(s) to {}{origin}",
-            events.len(),
-            path.display()
-        );
+        let events = jsonl.lines().count();
+        eprintln!("wrote {events} trace event(s) to {}", path.display());
     }
     if let (Some(path), Some(profile)) = (&opts.profile_out, &profile) {
         write_profile(path, profile)?;
@@ -1092,51 +1052,7 @@ fn write_profile(path: &std::path::Path, profile: &CycleProfile) -> Result<(), S
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Sharded execution (`--shards N`): the shard protocol's supervisor and
-// worker sides. See `hetsim_runner::shard` for the process-independent
-// pieces (partition, manifests, wire events, retry loop).
-//
-// The supervisor never moves outcome values through pipes. Workers
-// execute their shard of the campaign against the *shared*
-// content-addressed cache, commit a manifest, and exit; the supervisor
-// then replays the whole campaign through the ordinary `execute()`
-// path, where every job is answered from the warm cache. Because a
-// cache hit is bit-identical to a fresh simulation and results merge by
-// submission index, the headline stdout and stats dump are the ones a
-// single-process run produces.
-// ---------------------------------------------------------------------
-
-/// Removes an ephemeral shard cache directory on scope exit (kept when
-/// the user named the directory themselves).
-struct EphemeralDir(Option<PathBuf>);
-
-impl Drop for EphemeralDir {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.0 {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-/// Whether this worker should crash mid-shard: `HETSIM_SHARD_FAIL=<I>`
-/// kills shard `I` on its first attempt (retry heals it),
-/// `HETSIM_SHARD_FAIL=<I>:always` kills every attempt (retries
-/// exhaust). Fault injection for the chaos tests, same pattern as
-/// `HETSIM_CHECK_PERTURB`.
-fn shard_fail_requested(shard: usize, attempt: u64) -> bool {
-    let Ok(spec) = std::env::var("HETSIM_SHARD_FAIL") else {
-        return false;
-    };
-    let (target, always) = match spec.strip_suffix(":always") {
-        Some(t) => (t, true),
-        None => (spec.as_str(), false),
-    };
-    target.parse::<usize>() == Ok(shard) && (always || attempt == 0)
-}
-
-/// The experiments that drive job batches (the rest compute inline and
-/// need no sharding).
+/// The experiments that drive job batches (the rest compute inline).
 fn campaign_needs(requested: &[Experiment]) -> (bool, bool) {
     let cpu = requested.iter().any(|e| {
         matches!(
@@ -1148,380 +1064,6 @@ fn campaign_needs(requested: &[Experiment]) -> (bool, bool) {
         .iter()
         .any(|e| matches!(e, Experiment::Fig10 | Experiment::Fig11 | Experiment::Fig12));
     (cpu, gpu)
-}
-
-/// The per-shard cycle-profile fragment, next to the shard's manifest
-/// and trace log.
-fn profile_fragment_path(dir: &std::path::Path, shard: usize) -> PathBuf {
-    dir.join(format!("profile-{shard}.json"))
-}
-
-/// Reads and merges every worker's profile fragment — the profile
-/// analogue of stitching the per-worker trace logs.
-fn merge_profile_fragments(
-    out_dir: &std::path::Path,
-    shards: usize,
-) -> Result<CycleProfile, String> {
-    let mut merged = CycleProfile::new();
-    for shard in 0..shards {
-        let path = profile_fragment_path(out_dir, shard);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let value: serde::value::Value =
-            serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let fragment =
-            CycleProfile::from_value(&value).map_err(|e| format!("{}: {e}", path.display()))?;
-        merged.merge(&fragment);
-    }
-    Ok(merged)
-}
-
-/// The supervisor phase: spawn `shards` workers over the shared cache,
-/// fan their progress into this process's sink, retry crashed shards,
-/// and audit the merged manifests against the canonical job cover.
-fn run_sharded(
-    opts: &Options,
-    shards: usize,
-    cache_dir: &std::path::Path,
-    out_dir: &std::path::Path,
-    profile: bool,
-) -> Result<(), String> {
-    use serde::value::Value;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let exe =
-        std::env::current_exe().map_err(|e| format!("cannot locate the repro binary: {e}"))?;
-    let (needs_cpu, needs_gpu) = campaign_needs(&opts.requested);
-
-    // The canonical batch, enumerated exactly as workers enumerate it
-    // (CPU campaign then GPU campaign, submission order), giving the
-    // progress fan-in its label→index map and the audit its expected
-    // key cover.
-    let mut labels: Vec<String> = Vec::new();
-    let mut expected: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    if needs_cpu {
-        for job in opts.suite.cpu_campaign_jobs() {
-            expected.insert(job.key.hex());
-            labels.push(job.label);
-        }
-    }
-    if needs_gpu {
-        for job in opts.suite.gpu_campaign_jobs() {
-            expected.insert(job.key.hex());
-            labels.push(job.label);
-        }
-    }
-    let total = labels.len();
-    let words: Vec<String> = opts
-        .requested
-        .iter()
-        .map(|e| e.cli_name().to_string())
-        .collect();
-    eprintln!("running sharded campaign ({total} job(s) across {shards} worker process(es))...");
-
-    // One aggregate batch over all workers: columns in first-submission
-    // design order, like the in-process runner announces them.
-    let sink = progress_sink(opts.progress, None);
-    let mut columns: Vec<(String, usize)> = Vec::new();
-    for label in &labels {
-        let design = design_of(label);
-        match columns.iter_mut().find(|(name, _)| name == design) {
-            Some((_, count)) => *count += 1,
-            None => columns.push((design.to_string(), 1)),
-        }
-    }
-    sink.event(&ProgressEvent::BatchStarted {
-        total,
-        workers: shards,
-        columns,
-    });
-    let label_index: std::collections::HashMap<&str, usize> = labels
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (l.as_str(), i))
-        .collect();
-    let done = AtomicUsize::new(0);
-
-    // Split the worker-thread budget across the worker processes so
-    // `--shards N` does not oversubscribe the machine N-fold.
-    let worker_jobs = opts.jobs.div_ceil(shards).max(1);
-    let runs = supervise(
-        shards,
-        out_dir,
-        &ShardPolicy::default(),
-        &|shard, attempt| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("shard-worker")
-                .arg("--shard")
-                .arg(shard.to_string())
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--attempt")
-                .arg(attempt.to_string())
-                .arg("--cache-dir")
-                .arg(cache_dir)
-                .arg("--out-dir")
-                .arg(out_dir)
-                .arg("--insts")
-                .arg(opts.suite.insts_per_app.to_string())
-                .arg("--seed")
-                .arg(opts.suite.seed.to_string())
-                .arg("--jobs")
-                .arg(worker_jobs.to_string());
-            if opts.trace_out.is_some() {
-                cmd.arg("--trace");
-            }
-            if profile {
-                cmd.arg("--profile");
-            }
-            cmd.args(&words);
-            cmd
-        },
-        &|_shard, line| {
-            let Some(event) = WorkerEvent::from_line(line) else {
-                return;
-            };
-            let Some(&index) = label_index.get(event.label.as_str()) else {
-                return;
-            };
-            let done_now = done.fetch_add(1, Ordering::SeqCst) + 1;
-            sink.event(&ProgressEvent::JobFinished {
-                index,
-                label: event.label,
-                provenance: event.provenance,
-                done: done_now,
-                total,
-                counters: Vec::new(),
-                sim_seconds: event.sim_seconds,
-            });
-        },
-    )?;
-
-    // Audit the cover: every canonical key claimed by exactly one
-    // manifest. A mismatch means a worker and the supervisor disagree
-    // about the partition — refusing to merge beats silently reporting
-    // a half-run campaign.
-    let mut claimed: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for run in &runs {
-        for key in &run.manifest.keys {
-            if !claimed.insert(key.clone()) {
-                return Err(format!(
-                    "shard cover violation: key {key} claimed by more than one shard"
-                ));
-            }
-        }
-    }
-    if claimed != expected {
-        return Err(format!(
-            "shard cover mismatch: workers claimed {} job(s), supervisor expected {}",
-            claimed.len(),
-            expected.len()
-        ));
-    }
-
-    // Merge the per-shard StatsDump fragments' runner sections — value
-    // trees folded leaf-wise, then parsed back into `RunnerStats` so
-    // the batch summary goes through the same merge machinery an
-    // in-process campaign uses.
-    let fragments: Vec<Value> = runs
-        .iter()
-        .map(|run| {
-            let path = fragment_path(out_dir, run.shard);
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
-        })
-        .collect::<Result<_, String>>()?;
-    let mut merged = RunnerStats::default();
-    for section in ["cpu", "gpu"] {
-        let parts: Vec<Value> = fragments
-            .iter()
-            .filter_map(|f| f.get("runner").and_then(|r| r.get(section)).cloned())
-            .collect();
-        if parts.is_empty() {
-            continue;
-        }
-        let folded = hetsim_stats::merge_counter_fragments(&parts)?;
-        let stats = RunnerStats::from_dump_value(&folded)
-            .ok_or_else(|| format!("malformed runner.{section} section in shard fragments"))?;
-        merged.merge(&stats);
-    }
-    sink.event(&ProgressEvent::BatchFinished { stats: merged });
-    // The supervisor fans worker events into rate-limited sinks by
-    // hand (no Runner in this process), so it settles them by hand too.
-    sink.flush();
-    Ok(())
-}
-
-/// The hidden worker subcommand the supervisor spawns: run this shard's
-/// slice of the campaign into the shared cache, narrate wire events on
-/// stdout, then commit fragment + manifest (manifest last — it is the
-/// shard's commit record).
-fn cmd_shard_worker(args: &[String]) -> ExitCode {
-    // Invocations are machine-generated by the supervisor; parsing is
-    // strict and failures are fatal without usage chatter.
-    let mut args = scan(&SHARD_WORKER, args);
-    let shard = args.int::<usize>("--shard");
-    let shards = args.count::<usize>("--shards");
-    let attempt = args.int::<u64>("--attempt").unwrap_or(0);
-    let cache_dir = args.path("--cache-dir");
-    let out_dir = args.path("--out-dir");
-    let jobs = args.count("--jobs").unwrap_or(1);
-    let mut suite = Suite::default();
-    if let Some(n) = args.count("--insts") {
-        suite.insts_per_app = n;
-    }
-    if let Some(s) = args.int("--seed") {
-        suite.seed = s;
-    }
-    let trace = args.given(&["--trace"]);
-    let profile = args.given(&["--profile"]);
-    let requested = args.positionals(experiment);
-    if let Err(errors) = args.finish() {
-        for e in errors {
-            eprintln!("error: shard-worker: {e}");
-        }
-        return ExitCode::FAILURE;
-    }
-    let (Some(shard), Some(shards), Some(cache_dir), Some(out_dir)) =
-        (shard, shards, cache_dir, out_dir)
-    else {
-        unreachable!("the scan rejects a worker command line without these flags");
-    };
-    let words: Vec<String> = requested.iter().map(|e| e.cli_name().to_string()).collect();
-    let (needs_cpu, needs_gpu) = campaign_needs(&requested);
-
-    let sink: Arc<dyn ProgressSink> = Arc::new(ShardEventSink::stdout());
-    let recorder = trace.then(|| Arc::new(TraceRecorder::new(Arc::new(MonotonicClock::new()))));
-    if profile {
-        attribution::set_enabled(true);
-    }
-
-    // This shard's slice of the canonical batch, by key — every worker
-    // and the supervisor compute the same partition independently.
-    let cpu_mine: Option<Vec<_>> = needs_cpu.then(|| {
-        let jobs = suite.cpu_campaign_jobs().into_iter();
-        jobs.filter(|j| j.key.shard_of(shards) == shard).collect()
-    });
-    let gpu_mine: Option<Vec<_>> = needs_gpu.then(|| {
-        let jobs = suite.gpu_campaign_jobs().into_iter();
-        jobs.filter(|j| j.key.shard_of(shards) == shard).collect()
-    });
-    let keys: Vec<String> = cpu_mine
-        .iter()
-        .flatten()
-        .map(|j| j.key.hex())
-        .chain(gpu_mine.iter().flatten().map(|j| j.key.hex()))
-        .collect();
-    let total = keys.len();
-
-    // Fault injection: crash after roughly half the shard's work, with
-    // results of the completed half already committed to the shared
-    // cache — exactly the mid-shard death the supervisor must survive.
-    let fail_now = shard_fail_requested(shard, attempt);
-    let mut budget = fail_now.then_some(total / 2);
-
-    let mut dump = StatsDump::new().with_run(suite.insts_per_app, suite.seed, &words);
-    let mut executed = 0u64;
-    let recorder = recorder.as_ref();
-    let slices = [
-        (
-            "cpu",
-            run_slice(cpu_mine, &mut budget, jobs, &cache_dir, &sink, recorder),
-        ),
-        (
-            "gpu",
-            run_slice(gpu_mine, &mut budget, jobs, &cache_dir, &sink, recorder),
-        ),
-    ];
-    for (section, slice) in slices {
-        match slice {
-            Ok(Some((stats, timing))) => {
-                executed += stats.executed;
-                dump = dump
-                    .with_runner(section, stats)
-                    .with_runner_timing(section, timing);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("error: shard {shard}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if fail_now {
-        // Die without a manifest: the half-done work stays in the
-        // cache, the commit record does not exist, and the supervisor
-        // must retry this shard.
-        eprintln!("[shard {shard}] HETSIM_SHARD_FAIL: crashing mid-shard (attempt {attempt})");
-        std::process::exit(3);
-    }
-
-    if let Some(rec) = recorder {
-        if let Err(e) = write_atomic(&trace_path(&out_dir, shard), &rec.to_jsonl()) {
-            eprintln!("error: shard {shard}: cannot write trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if profile {
-        // Only the simulated slice publishes rows; cache replays (a
-        // healed retry re-covering a crashed attempt's work) publish
-        // nothing, so the merged document undercounts exactly what was
-        // never re-simulated. Best-effort by design — the supervisor's
-        // diff policy exempts profile.* for the same reason.
-        let doc = collector::take();
-        let json =
-            serde_json::to_string_pretty(&doc.to_value()).expect("value trees always serialize");
-        if let Err(e) = write_atomic(&profile_fragment_path(&out_dir, shard), &json) {
-            eprintln!("error: shard {shard}: cannot write profile fragment: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = dump.write_to(&fragment_path(&out_dir, shard)) {
-        eprintln!("error: shard {shard}: cannot write stats fragment: {e}");
-        return ExitCode::FAILURE;
-    }
-    let manifest = ShardManifest {
-        schema: SHARD_SCHEMA.into(),
-        shard: shard as u64,
-        shards: shards as u64,
-        attempt,
-        jobs: total as u64,
-        executed,
-        keys,
-    };
-    if let Err(e) = manifest.write_to(&manifest_path(&out_dir, shard)) {
-        eprintln!("error: shard {shard}: cannot write manifest: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-/// Runs one campaign's slice of a worker's shard into the shared cache,
-/// cut short to the fault-injection `budget` when one is set. Returns
-/// the runner's stats, or `None` when the shard runs no such campaign.
-fn run_slice<T>(
-    batch: Option<Vec<Job<T>>>,
-    budget: &mut Option<usize>,
-    jobs: usize,
-    cache_dir: &std::path::Path,
-    sink: &Arc<dyn ProgressSink>,
-    recorder: Option<&Arc<TraceRecorder>>,
-) -> Result<Option<(RunnerStats, RunnerTiming)>, String>
-where
-    T: Clone + Send + serde::Serialize + serde::Deserialize + hetsim_runner::SimMetrics,
-{
-    let Some(mut batch) = batch else {
-        return Ok(None);
-    };
-    if let Some(b) = budget {
-        let take = (*b).min(batch.len());
-        batch.truncate(take);
-        *b -= take;
-    }
-    let runner = campaign_runner(jobs, Some(cache_dir), sink, recorder)?;
-    runner.run(batch);
-    Ok(Some((runner.total_stats(), runner.total_timing())))
 }
 
 /// Parses one experiment word.
@@ -1587,7 +1129,7 @@ fn cmd_baseline(args: &[String]) -> ExitCode {
 
     for (target, (requested, extensions)) in &targets {
         let execution = match execute(
-            &suite, requested, extensions, jobs, &cache_dir, progress, None,
+            &suite, requested, extensions, jobs, 1, &cache_dir, progress, None,
         ) {
             Ok(x) => x,
             Err(e) => {
@@ -1782,6 +1324,7 @@ fn cmd_ci_gate(args: &[String]) -> ExitCode {
             &requested,
             &extensions,
             jobs,
+            1,
             &cache_dir,
             progress,
             None,
@@ -1974,6 +1517,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         &CHECK_TARGETS,
         &[],
         jobs,
+        1,
         &cache_dir,
         progress,
         None,
@@ -2516,9 +2060,7 @@ fn render_profile_table(profile: &CycleProfile, insts: u64, seed: u64) -> String
 /// the CPU and GPU campaigns) with top-down cycle attribution enabled
 /// and render the per-design roll-up, the raw document, or folded
 /// stacks. The cache is never consulted, so every job simulates and
-/// the document covers the whole campaign; with `--shards N` the
-/// workers simulate and their fragments merge, exactly like sharded
-/// trace logs stitch.
+/// the document covers the whole campaign, at any `--shards N`.
 fn cmd_profile(args: &[String]) -> ExitCode {
     let mut args = scan(&PROFILE, args);
     let mut suite = Suite::default();
@@ -2532,8 +2074,8 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     if let Some(s) = args.int("--seed") {
         suite.seed = s;
     }
-    let jobs = args.count("--jobs");
-    let shards = args.count("--shards");
+    let jobs = args.count("--jobs").unwrap_or_else(default_jobs);
+    let shards = args.count("--shards").unwrap_or(1);
     let format = args.choice("--format").unwrap_or("table");
     let out = args.path("--out");
     let counters_out = args.path("--counters-out");
@@ -2544,58 +2086,26 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     if requested.is_empty() {
         requested = vec![Experiment::Fig7, Experiment::Fig10];
     }
-    let jobs = jobs.unwrap_or_else(default_jobs);
-    let (table_insts, table_seed) = (suite.insts_per_app, suite.seed);
 
+    // No cache directory: every job simulates, so the document covers
+    // the whole campaign (a warm cache would replay jobs without
+    // attributing anything). The collector is process-global, so every
+    // shard's rows land in the one document.
     attribution::set_enabled(true);
-    let profile = match shards {
-        Some(n) => {
-            // The sharded path: workers simulate the cold shared cache
-            // and write per-shard fragments; no merge pass is needed —
-            // the fragments *are* the result.
-            let opts = Options {
-                suite,
-                requested,
-                extensions: Vec::new(),
-                format: Format::Table,
-                stats_out: None,
-                trace_out: None,
-                profile_out: None,
-                jobs,
-                shards: Some(n),
-                cache_dir: None,
-                progress: Progress::Quiet,
-            };
-            let cache_dir =
-                std::env::temp_dir().join(format!("hetsim-profile-run-{}", std::process::id()));
-            let cleanup = EphemeralDir(Some(cache_dir.clone()));
-            let out_dir = cache_dir.join("shards");
-            if let Err(e) = std::fs::create_dir_all(&out_dir) {
-                eprintln!("error: cannot create {}: {e}", out_dir.display());
-                return ExitCode::FAILURE;
-            }
-            let result = run_sharded(&opts, n, &cache_dir, &out_dir, true)
-                .and_then(|()| merge_profile_fragments(&out_dir, n));
-            drop(cleanup);
-            match result {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => {
-            // No cache directory: every job simulates, so the document
-            // covers the whole campaign (a warm cache would replay
-            // jobs without attributing anything).
-            if let Err(e) = execute(&suite, &requested, &[], jobs, &None, Progress::Quiet, None) {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-            collector::take()
-        }
-    };
+    if let Err(e) = execute(
+        &suite,
+        &requested,
+        &[],
+        jobs,
+        shards,
+        &None,
+        Progress::Quiet,
+        None,
+    ) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
+    let profile = collector::take();
 
     if let Some(path) = &counters_out {
         let json = serde_json::to_string_pretty(&profile.counter_track_doc())
@@ -2617,7 +2127,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             s
         }
         "folded" => profile.folded(),
-        _ => render_profile_table(&profile, table_insts, table_seed),
+        _ => render_profile_table(&profile, suite.insts_per_app, suite.seed),
     };
     match &out {
         Some(path) => {
@@ -2652,9 +2162,8 @@ fn cmd_trace_export(args: &[String]) -> ExitCode {
         return fail(&errors);
     }
     let output = paths.last().expect("length checked").clone();
-    // Multiple inputs (per-worker traces of a sharded run) stitch onto
-    // disjoint track lanes before export; one input passes through
-    // untouched.
+    // Multiple inputs (traces of separate runs) stitch onto disjoint
+    // track lanes before export; one input passes through untouched.
     let inputs = match paths[..paths.len() - 1]
         .iter()
         .map(|input| read_trace(input))
@@ -2698,8 +2207,6 @@ fn main() -> ExitCode {
         Some("explore") => cmd_explore(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("trace-export") => cmd_trace_export(&args[1..]),
-        // Hidden: the worker half of `--shards` (see `cmd_shard_worker`).
-        Some("shard-worker") => cmd_shard_worker(&args[1..]),
         _ => cmd_run(&args),
     }
 }

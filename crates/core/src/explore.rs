@@ -15,9 +15,9 @@
 //!   repeated searches — a warm rerun, a widened budget, an overlapping
 //!   sweep — only simulate designs never seen before;
 //! * `--shards N` splits each batch across N runners by
-//!   [`JobKey::shard_of`], the same coordination-free partitioner the
-//!   campaign shard protocol uses; results merge by submission index,
-//!   so the shard count is invisible in the output;
+//!   [`JobKey::shard_of`] through [`run_partitioned`], the shard
+//!   executor `repro --shards` uses too; results merge by submission
+//!   index, so the shard count is invisible in the output;
 //! * the search itself is **structural**: wave 0 is a deterministic
 //!   stride sample of the grid, every later wave evaluates the
 //!   ±1-step axis neighbors of the current frontier (adaptive
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 
 use hetsim_device::dvfs::DvfsController;
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{config_object, run_partitioned, Job, JobKey, Runner};
+use hetsim_runner::{config_object, run_partitioned, workers_per_shard, Job, JobKey, Runner};
 use hetsim_stats::pareto;
 use hetsim_trace::apps;
 use serde::value::Value;
@@ -306,7 +306,8 @@ pub struct ExploreConfig {
     pub seed: u64,
     /// Dynamic instructions per application per candidate.
     pub insts: u64,
-    /// Worker threads per shard runner.
+    /// Worker-thread budget, split across the shard runners by
+    /// [`workers_per_shard`].
     pub jobs: usize,
     /// Shard runners each wave's batch is partitioned across.
     pub shards: usize,
@@ -461,7 +462,7 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
     // One persistent runner per shard: the key→shard mapping is stable,
     // so each runner's in-memory cache stays valid across waves, and
     // all runners share the one on-disk cache.
-    let per_shard_jobs = (cfg.jobs / cfg.shards).max(1);
+    let per_shard_jobs = workers_per_shard(cfg.jobs, cfg.shards);
     let mut runners = Vec::with_capacity(cfg.shards);
     for _ in 0..cfg.shards {
         let mut runner = Runner::new(per_shard_jobs);
@@ -575,11 +576,10 @@ pub fn explore(space: &DesignSpace, cfg: &ExploreConfig) -> Result<ExploreResult
 }
 
 /// Evaluates one wave of candidates: builds the (candidate × app) job
-/// batch, runs it across the shard runners with `run_partitioned` (the
-/// same coordination-free split by [`JobKey::shard_of`] the campaign
-/// shard protocol uses, one scoped thread per shard, outcomes in
-/// submission order), and folds each candidate's per-app outcomes into
-/// its aggregate objectives.
+/// batch, runs it across the shard runners with [`run_partitioned`]
+/// (split by [`JobKey::shard_of`], outcomes in submission order), and
+/// folds each candidate's per-app outcomes into its aggregate
+/// objectives.
 fn evaluate_wave(
     space: &DesignSpace,
     cfg: &ExploreConfig,

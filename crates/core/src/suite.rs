@@ -13,7 +13,7 @@ use hetsim_device::tech::Technology;
 use hetsim_device::variation::{CMOS_GUARDBAND_V, TFET_GUARDBAND_V};
 use hetsim_device::vf::VfCurve;
 use hetsim_power::assignment::VoltageFactors;
-use hetsim_runner::{Job, Runner};
+use hetsim_runner::{run_partitioned, Job, Runner};
 use hetsim_trace::apps;
 
 use crate::campaign::{cpu_job, gpu_job};
@@ -275,11 +275,7 @@ impl Suite {
     /// The CPU campaign's job batch in canonical submission order —
     /// every Table IV design on every application as a 4-core chip,
     /// plus the 8-core AdvHet-2X chip, row-major (app, then design).
-    ///
-    /// Exposed separately from [`Suite::cpu_campaign_with`] so shard
-    /// workers can enumerate the identical batch in their own process
-    /// and filter it by [`hetsim_runner::JobKey::shard_of`].
-    pub fn cpu_campaign_jobs(&self) -> Vec<Job<CpuOutcome>> {
+    fn cpu_campaign_jobs(&self) -> Vec<Job<CpuOutcome>> {
         let mut jobs: Vec<Job<CpuOutcome>> = Vec::new();
         for app in &apps::all() {
             for design in CpuDesign::ALL {
@@ -310,8 +306,16 @@ impl Suite {
     /// runner merges results by submission index, so the campaign is
     /// identical for any worker count.
     pub fn cpu_campaign_with(&self, runner: &Runner<CpuOutcome>) -> CpuCampaign {
+        self.cpu_campaign_sharded(std::slice::from_ref(runner))
+    }
+
+    /// Runs the full CPU campaign split across `runners` by
+    /// [`run_partitioned`] (one shard per runner, `--shards`). Outcomes
+    /// merge by submission index, so the campaign is identical for any
+    /// number of runners.
+    pub fn cpu_campaign_sharded(&self, runners: &[Runner<CpuOutcome>]) -> CpuCampaign {
         let all_apps = apps::all();
-        let mut results = runner.run(self.cpu_campaign_jobs()).into_iter();
+        let mut results = run_partitioned(runners, self.cpu_campaign_jobs()).into_iter();
         let per_app = CpuDesign::ALL.len() + 1;
         let outcomes = all_apps
             .iter()
@@ -511,9 +515,9 @@ impl Suite {
     }
 
     /// The GPU campaign's job batch in canonical submission order
-    /// (kernel-major) — the shard-worker counterpart of
+    /// (kernel-major) — the GPU counterpart of
     /// [`Suite::cpu_campaign_jobs`].
-    pub fn gpu_campaign_jobs(&self) -> Vec<Job<GpuOutcome>> {
+    fn gpu_campaign_jobs(&self) -> Vec<Job<GpuOutcome>> {
         hetsim_gpu::kernels::all()
             .iter()
             .flat_map(|kernel| {
@@ -527,8 +531,14 @@ impl Suite {
     /// Runs the full GPU campaign — every design on every kernel — as
     /// one job batch on `runner` (submission order: kernel-major).
     pub fn gpu_campaign_with(&self, runner: &Runner<GpuOutcome>) -> GpuCampaign {
+        self.gpu_campaign_sharded(std::slice::from_ref(runner))
+    }
+
+    /// Runs the full GPU campaign split across `runners` (see
+    /// [`Suite::cpu_campaign_sharded`]).
+    pub fn gpu_campaign_sharded(&self, runners: &[Runner<GpuOutcome>]) -> GpuCampaign {
         let kernels = hetsim_gpu::kernels::all();
-        let mut results = runner.run(self.gpu_campaign_jobs()).into_iter();
+        let mut results = run_partitioned(runners, self.gpu_campaign_jobs()).into_iter();
         let outcomes = kernels
             .iter()
             .map(|_| results.by_ref().take(GpuDesign::ALL.len()).collect())

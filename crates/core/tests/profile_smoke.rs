@@ -3,8 +3,8 @@
 //! Runs the real `repro` binary and checks the whole chain: `repro
 //! profile` emits a `hetsim-profile-v1` document whose classes sum to
 //! the attributed cycles for every unit, the folded-stack and Perfetto
-//! counter-track exports are well-formed, a sharded profile merges to
-//! the same document a single process produces, and — the headline
+//! counter-track exports are well-formed, a sharded profile is the
+//! same document an unsharded one is, and — the headline
 //! guarantee — stdout stays byte-identical whether or not profiling
 //! is on.
 

@@ -1,23 +1,18 @@
-//! Crash-recovery and shared-cache contention tests for the shard
-//! protocol.
+//! Shared-cache contention and resume tests for sharded runs.
 //!
-//! The supervisor's promise is stronger than "usually works": a worker
-//! that dies mid-shard is retried with bounded backoff and the final
-//! report is still byte-identical to an undisturbed run, while a shard
-//! that keeps dying exhausts its attempts and fails the whole campaign
-//! loudly. These tests drive both paths through the real `repro`
-//! binary using the `HETSIM_SHARD_FAIL` fault-injection hook
-//! (`<shard>` crashes that shard's first attempt halfway through;
-//! `<shard>:always` crashes every attempt).
+//! Every cache write goes through `write_atomic` as its job finishes,
+//! and every job outcome is a pure function of its key. Two promises
+//! follow, and these tests drive both through the real `repro` binary:
 //!
-//! The last test attacks the other shared resource: two full-campaign
-//! workers race on one `--cache-dir`. Because every cache write goes
-//! through `write_atomic` and both workers compute identical values
-//! for identical keys, the race must leave no corrupt entries and a
-//! warm read of the shared cache must answer every job from disk.
+//! * two processes racing on one `--cache-dir` leave no corrupt
+//!   entries, and a warm read of that cache answers every job from
+//!   disk;
+//! * a run cut short leaves exactly its finished jobs in the cache, so
+//!   rerunning it (here with `--shards 2`) simulates only the missing
+//!   ones and prints the same report.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
 
 use serde::value::Value;
 
@@ -55,76 +50,14 @@ fn reference_stdout() -> Vec<u8> {
     out.stdout
 }
 
-#[test]
-fn crashed_worker_is_retried_and_the_report_is_unchanged() {
-    let cache = fresh_dir("retry-cache");
-    let reference = reference_stdout();
-
-    // Shard 1's first attempt dies halfway through its jobs, before it
-    // writes a manifest; the supervisor must notice, back off, retry,
-    // and finish with exit 0 and byte-identical output.
-    let out = repro_cmd()
-        .env("HETSIM_SHARD_FAIL", "1")
-        .args([
-            "--insts",
-            INSTS,
-            "--format",
-            "json",
-            "--cache-dir",
-            &cache.to_string_lossy(),
-            "--shards",
-            "2",
-            "fig7",
-        ])
-        .output()
-        .expect("repro runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "chaos run must recover: {stderr}");
-    assert!(
-        stderr.contains("retrying shard 1"),
-        "supervisor narrates the retry: {stderr}"
-    );
-    assert_eq!(
-        reference, out.stdout,
-        "report must be byte-identical despite the mid-shard crash"
-    );
-
-    let _ = std::fs::remove_dir_all(&cache);
-}
-
-#[test]
-fn a_persistently_crashing_shard_fails_the_campaign_loudly() {
-    let cache = fresh_dir("exhaust-cache");
-
-    // `:always` crashes every attempt: retries must run out and the
-    // campaign must fail with a nonzero exit and a clear error naming
-    // the shard and the attempt budget.
-    let out = repro_cmd()
-        .env("HETSIM_SHARD_FAIL", "1:always")
-        .args([
-            "--insts",
-            INSTS,
-            "--format",
-            "json",
-            "--cache-dir",
-            &cache.to_string_lossy(),
-            "--shards",
-            "2",
-            "fig7",
-        ])
-        .output()
-        .expect("repro runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "exhausted retries must fail the run: {stderr}"
-    );
-    assert!(
-        stderr.contains("shard 1 failed after") && stderr.contains("attempt"),
-        "error names the shard and the attempt budget: {stderr}"
-    );
-
-    let _ = std::fs::remove_dir_all(&cache);
+/// The `runner.cpu` section of the stats dump at `path`.
+fn cpu_runner_section(path: &Path) -> Value {
+    let text = std::fs::read_to_string(path).expect("stats dump written");
+    let dump: Value = serde_json::from_str(&text).expect("stats dump parses");
+    dump.get("runner")
+        .and_then(|r| r.get("cpu"))
+        .cloned()
+        .expect("dump has a runner.cpu section")
 }
 
 #[test]
@@ -132,38 +65,37 @@ fn concurrent_workers_share_a_cache_without_corruption() {
     let cache = fresh_dir("contend-cache");
     let reference = reference_stdout();
 
-    // Two full-coverage workers (--shard 0 --shards 1) race every
-    // cache entry on the same directory. Both must succeed: cache
-    // writes are atomic and last-writer-wins on identical bytes.
-    let mut workers = Vec::new();
-    for worker in 0..2 {
-        let out_dir = fresh_dir(&format!("contend-out-{worker}"));
-        let child = repro_cmd()
-            .args([
-                "shard-worker",
-                "--shard",
-                "0",
-                "--shards",
-                "1",
-                "--cache-dir",
-                &cache.to_string_lossy(),
-                "--out-dir",
-                &out_dir.to_string_lossy(),
-                "--insts",
-                INSTS,
-                "--jobs",
-                "2",
-                "fig7",
-            ])
-            .stdout(std::process::Stdio::null())
-            .spawn()
-            .expect("worker spawns");
-        workers.push((child, out_dir));
-    }
-    for (child, out_dir) in &mut workers {
-        let status = child.wait().expect("worker finishes");
-        assert!(status.success(), "contending worker must still succeed");
-        let _ = std::fs::remove_dir_all(out_dir);
+    // Two full fig7 runs race every cache entry on the same directory.
+    // Both must succeed: cache writes are atomic and last-writer-wins
+    // on identical bytes.
+    let racers: Vec<_> = (0..2)
+        .map(|_| {
+            repro_cmd()
+                .args([
+                    "--insts",
+                    INSTS,
+                    "--format",
+                    "json",
+                    "--jobs",
+                    "2",
+                    "--cache-dir",
+                    &cache.to_string_lossy(),
+                    "fig7",
+                ])
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("racing run spawns")
+        })
+        .collect();
+    for racer in racers {
+        let out = racer.wait_with_output().expect("racing run finishes");
+        assert!(
+            out.status.success(),
+            "contending run must still succeed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(reference, out.stdout, "a racing run reproduces the report");
     }
 
     // The shared cache must now be complete and clean: a warm
@@ -188,14 +120,12 @@ fn concurrent_workers_share_a_cache_without_corruption() {
     );
     assert_eq!(reference, out.stdout, "warm read reproduces the report");
 
-    let text = std::fs::read_to_string(&stats).expect("stats dump written");
-    let dump: Value = serde_json::from_str(&text).expect("stats dump parses");
-    let runner = dump
-        .get("runner")
-        .and_then(|r| r.get("cpu"))
-        .expect("dump has a runner.cpu section");
-    let field = |name: &str| runner.get(name).and_then(Value::as_u64);
-    assert_eq!(field("executed"), Some(0), "every job served from cache");
+    let runner = cpu_runner_section(&stats);
+    assert_eq!(
+        runner.get("executed").and_then(Value::as_u64),
+        Some(0),
+        "every job served from cache"
+    );
     assert_eq!(
         runner
             .get("cache")
@@ -203,6 +133,84 @@ fn concurrent_workers_share_a_cache_without_corruption() {
             .and_then(Value::as_u64),
         Some(0),
         "the racing writers left no corrupt cache entries"
+    );
+
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_file(&stats);
+}
+
+#[test]
+fn an_interrupted_cached_run_resumes_where_it_stopped() {
+    let cache = fresh_dir("resume-cache");
+    let cache_arg = cache.to_string_lossy().into_owned();
+
+    // A complete cold run fills the cache with one entry per job.
+    let cold = repro(&[
+        "--insts",
+        INSTS,
+        "--format",
+        "json",
+        "--cache-dir",
+        &cache_arg,
+        "fig7",
+    ]);
+    assert!(
+        cold.status.success(),
+        "cold run fails: {}",
+        String::from_utf8_lossy(&cold.stderr)
+    );
+
+    // Take away every third entry: the state a run killed part-way
+    // through leaves behind, since each entry is written as its job
+    // finishes.
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(&cache)
+        .expect("cache dir readable")
+        .map(|entry| entry.expect("cache entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .collect();
+    entries.sort();
+    assert_eq!(entries.len(), 154, "one entry per fig7 job");
+    let mut deleted = 0u64;
+    for path in entries.iter().step_by(3) {
+        std::fs::remove_file(path).expect("delete cache entry");
+        deleted += 1;
+    }
+
+    // The rerun, sharded, simulates exactly the missing jobs and
+    // prints the cold run's report byte for byte.
+    let stats = scratch("resume.stats.json");
+    let resumed = repro(&[
+        "--insts",
+        INSTS,
+        "--format",
+        "json",
+        "--cache-dir",
+        &cache_arg,
+        "--shards",
+        "2",
+        "--stats-out",
+        &stats.to_string_lossy(),
+        "fig7",
+    ]);
+    assert!(
+        resumed.status.success(),
+        "resumed run fails: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        cold.stdout, resumed.stdout,
+        "the resumed report matches the cold run"
+    );
+    let runner = cpu_runner_section(&stats);
+    assert_eq!(
+        runner.get("executed").and_then(Value::as_u64),
+        Some(deleted),
+        "only the deleted jobs are simulated again"
+    );
+    assert_eq!(
+        runner.get("jobs").and_then(Value::as_u64),
+        Some(154),
+        "the resumed run still covers the whole campaign"
     );
 
     let _ = std::fs::remove_dir_all(&cache);

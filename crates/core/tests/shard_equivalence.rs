@@ -1,10 +1,10 @@
 //! Sharded execution must be invisible in the results.
 //!
-//! The shard protocol's headline guarantee is that `--shards N` is a
+//! The shard executor's headline guarantee is that `--shards N` is a
 //! pure throughput knob: the partitioner splits the campaign across N
-//! worker processes, the supervisor merges their fragments, and the
+//! runners, their outcomes merge back by submission index, and the
 //! final report — both the headline stdout and the `--stats-out`
-//! dump — is what a single-process run would have produced. These
+//! dump — is what an unsharded run would have produced. These
 //! tests run the real `repro` binary on the fig7 + fig14 workload and
 //! hold that line byte-for-byte across shard counts, including a
 //! shard count (7) that does not divide the job count evenly.

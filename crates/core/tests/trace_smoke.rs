@@ -5,7 +5,8 @@
 //! validates clean, `trace-export` emits loadable Chrome trace-event
 //! JSON, `check --trace-in` accepts the recorded trace and rejects a
 //! perturbed one — and, the headline guarantee, stdout stays
-//! byte-identical whether or not tracing and the dashboard are on.
+//! byte-identical whether or not tracing and the dashboard are on. A
+//! `--shards 2` run records both shards into one log that validates.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -185,6 +186,47 @@ fn stdout_is_byte_identical_with_and_without_tracing() {
     assert!(
         stderr.contains("[runner] done:"),
         "dashboard degrades to line progress when stderr is piped: {stderr}"
+    );
+
+    let _ = std::fs::remove_file(&trace_path);
+}
+
+#[test]
+fn a_sharded_trace_records_every_job_and_validates() {
+    let trace_path = tmp("sharded.jsonl");
+    let trace_arg = trace_path.to_string_lossy().into_owned();
+
+    let out = repro(&[
+        "--insts",
+        "2000",
+        "--shards",
+        "2",
+        "--trace-out",
+        &trace_arg,
+        "fig7",
+    ]);
+    assert!(
+        out.status.success(),
+        "sharded traced run fails: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    // Both shards record into the one log: every fig7 job (14 apps x
+    // 11 chips) executes once, so there is one simulate span each.
+    let text = std::fs::read_to_string(&trace_path).expect("trace written");
+    let events = parse_jsonl(&text).expect("trace parses");
+    assert_eq!(validate_events(&events), Vec::<String>::new());
+    let simulates = names_of(&events, true)
+        .into_iter()
+        .filter(|name| *name == "simulate")
+        .count();
+    assert_eq!(simulates, 154, "one simulate span per executed job");
+
+    let out = repro(&["check", "--trace-in", &trace_arg]);
+    assert!(
+        out.status.success(),
+        "check rejects the sharded trace: {}",
+        String::from_utf8_lossy(&out.stdout)
     );
 
     let _ = std::fs::remove_file(&trace_path);

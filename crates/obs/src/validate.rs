@@ -10,9 +10,12 @@
 //!    means the recorder interleaved open spans on one thread, which
 //!    the guard API makes impossible);
 //! 3. every `job-finished` instant has a matching `cache-lookup` span
-//!    for the same job index (every job is looked up exactly once
-//!    before it finishes), and every executed job (`provenance: ran`)
-//!    additionally has a `simulate` span.
+//!    for the same job (every job is looked up exactly once before it
+//!    finishes), and every executed job (`provenance: ran`)
+//!    additionally has a `simulate` span. A job is its `index` plus its
+//!    `job` label: the index counts within one batch, and one trace
+//!    holds several batches (the CPU and GPU campaigns, every shard of
+//!    a `--shards` run).
 
 use serde::value::Value;
 use serde::Deserialize;
@@ -112,29 +115,31 @@ pub fn validate_events(events: &[TraceEvent]) -> Vec<String> {
     }
 
     // ---- property 3: every JobFinished has its spans ----
-    let span_indices = |name: &str| -> Vec<String> {
+    let job_of = |e: &TraceEvent| arg(e, "index").map(|index| (index, arg(e, "job")));
+    let span_jobs = |name: &str| -> Vec<(String, Option<String>)> {
         events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Span { .. }) && e.name == name)
-            .filter_map(|e| arg(e, "index"))
+            .filter_map(job_of)
             .collect()
     };
-    let lookups = span_indices("cache-lookup");
-    let simulates = span_indices("simulate");
+    let lookups = span_jobs("cache-lookup");
+    let simulates = span_jobs("simulate");
     for event in events {
         if !matches!(event.kind, EventKind::Instant { .. }) || event.name != "job-finished" {
             continue;
         }
-        let Some(index) = arg(event, "index") else {
+        let Some(job) = job_of(event) else {
             violations.push("`job-finished` instant has no `index` arg".to_string());
             continue;
         };
-        if !lookups.contains(&index) {
+        let index = &job.0;
+        if !lookups.contains(&job) {
             violations.push(format!(
                 "job-finished #{index} has no matching `cache-lookup` span"
             ));
         }
-        if arg(event, "provenance").as_deref() == Some("ran") && !simulates.contains(&index) {
+        if arg(event, "provenance").as_deref() == Some("ran") && !simulates.contains(&job) {
             violations.push(format!(
                 "job-finished #{index} was executed but has no `simulate` span"
             ));
@@ -240,6 +245,28 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.contains("no `simulate` span")),
             "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn another_batchs_span_with_the_same_index_does_not_count() {
+        // Two batches (say, two shards) both have a job #0; only the
+        // first job's spans were recorded.
+        let with_job = |mut event: TraceEvent, job: &str| {
+            event.args.push(("job".to_string(), job.into()));
+            event
+        };
+        let events = vec![
+            with_job(span("cache-lookup", 0, 0, 1, Some("0")), "cpu/lu/A"),
+            with_job(span("simulate", 0, 1, 5, Some("0")), "cpu/lu/A"),
+            with_job(finished("0", "ran", 6), "cpu/lu/A"),
+            with_job(span("cache-lookup", 1, 0, 1, Some("0")), "cpu/fft/B"),
+            with_job(finished("0", "ran", 7), "cpu/fft/B"),
+        ];
+        let violations = validate_events(&events);
+        assert_eq!(
+            violations,
+            ["job-finished #0 was executed but has no `simulate` span"]
         );
     }
 

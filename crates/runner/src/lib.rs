@@ -8,9 +8,11 @@
 //!
 //! * sweeps use every core (`--jobs` / `available_parallelism`),
 //! * re-running a figure is near-free (in-process memo store, plus an
-//!   optional on-disk JSON cache shared across processes), and
+//!   optional on-disk JSON cache shared across processes),
 //! * callers observe structured progress ([`ProgressSink`]) and
-//!   throughput/cache metrics ([`RunnerStats`]).
+//!   throughput/cache metrics ([`RunnerStats`]), and
+//! * a batch splits across several runners in one process by job key
+//!   ([`run_partitioned`], behind `--shards`), with the same outcomes.
 //!
 //! ## Determinism contract
 //!
@@ -31,8 +33,7 @@
 //! The crate is deliberately independent of the simulators: jobs carry
 //! closures, outcomes are any `Serialize + Deserialize + Clone + Send`
 //! type, and the sim-seconds metric comes from the [`SimMetrics`] trait
-//! the outcome types implement. This is the layer future scaling work
-//! (sharding, serving, larger sweeps) plugs into.
+//! the outcome types implement.
 
 #![warn(missing_docs)]
 
@@ -54,10 +55,7 @@ pub use progress::{
     design_of, NullSink, ProgressEvent, ProgressSink, Provenance, RunnerStats, StderrSink,
 };
 pub use runner::Runner;
-pub use shard::{
-    fragment_path, manifest_path, partition, run_partitioned, supervise, trace_path,
-    ShardEventSink, ShardManifest, ShardPolicy, ShardRun, WorkerEvent, SHARD_SCHEMA,
-};
+pub use shard::{partition, run_partitioned, workers_per_shard};
 pub use sinks::{MultiSink, TraceEventSink};
 pub use timing::RunnerTiming;
 

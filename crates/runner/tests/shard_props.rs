@@ -1,7 +1,7 @@
 //! Property tests of the shard partitioner.
 //!
-//! The shard protocol's correctness rests on the partition being an
-//! exact cover that every process can recompute independently. These
+//! The shard executor's correctness rests on the partition being an
+//! exact, deterministic cover of the batch. These
 //! properties pin that down for arbitrary job counts, shard counts and
 //! key material — the unit tests in `shard.rs` cover the hand-picked
 //! edges, this file covers the space between them.
@@ -71,8 +71,7 @@ proptest! {
         prop_assert_eq!(all, expect);
     }
 
-    /// The partition is a pure function: computing it twice — as the
-    /// supervisor and each worker do in separate processes — gives the
+    /// The partition is a pure function: computing it twice gives the
     /// identical assignment.
     #[test]
     fn partition_is_deterministic_across_calls(
@@ -133,8 +132,8 @@ proptest! {
         }
     }
 
-    /// Keys survive the manifest round trip: hex → from_hex is the
-    /// identity, so the supervisor can audit a worker's claimed cover.
+    /// Keys survive the hex round trip (the cache's entry file names):
+    /// hex → from_hex is the identity.
     #[test]
     fn keys_round_trip_through_hex(
         seeds in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..24), 0..40),

@@ -78,12 +78,10 @@ pub use serde;
 pub mod attribution;
 pub mod diff;
 pub mod histogram;
-pub mod merge;
 pub mod pareto;
 
 pub use attribution::{ClassCounts, CycleClass};
 pub use histogram::Histogram;
-pub use merge::{merge_counter_fragments, merge_counter_values};
 pub use pareto::{dominates, frontier_indices};
 
 /// Defines one counter struct with derived `merge`, `minus`,
