@@ -33,11 +33,122 @@ fn hashed_bool(key: u64, p: f64) -> bool {
     (hash64(key) as f64 / u64::MAX as f64) < p
 }
 
+/// The wavefront-invariant half of a kernel launch: one step per pc,
+/// plus the event counters of one wavefront running the whole kernel.
+///
+/// Every wavefront executes the same instruction stream in program
+/// order, starting from an empty RF cache, and a partitioned RF's fast
+/// set is a per-kernel compiler decision. So each pc's register-read
+/// latency and every RF, LDS and FU counter are the same for every
+/// wavefront, whatever the issue interleaving, and simulating the RF
+/// cache once per launch is exact. Only the scoreboard timing and the
+/// hashed per-(wavefront, pc) DRAM-miss draw differ between wavefronts;
+/// [`run_planned`] handles both at issue.
+pub(crate) struct IssuePlan {
+    steps: Vec<PlanStep>,
+    /// Counters of one whole wavefront. `cycles` and `dram_accesses`
+    /// stay zero: they depend on the wavefront.
+    per_wave: GpuStats,
+}
+
+/// One pc of an [`IssuePlan`].
+#[derive(Debug, Clone, Copy)]
+struct PlanStep {
+    /// Register-read latency, plus the FU latency of a VALU or LDS op.
+    /// A memory op adds its hit or miss latency at issue.
+    latency: u64,
+    dep_on_prev: bool,
+    is_mem: bool,
+}
+
+impl IssuePlan {
+    /// Walks `kernel` once through a fresh RF cache (or the partitioned
+    /// RF's fast set) under `cfg`.
+    pub(crate) fn new(cfg: &GpuConfig, kernel: &[GpuInst]) -> Self {
+        let threads = u64::from(WAVEFRONT_THREADS);
+        // Static fast-register allocation for a partitioned RF (per
+        // kernel, shared by every wavefront — it is a compiler decision).
+        let fast_regs = cfg.rf_partition.map(|p| FastRegSet::allocate(kernel, p));
+        let mut rfc = cfg.rf_cache.map(|c| RfCache::new(c.entries as usize));
+        let mut per_wave = GpuStats::default();
+        let steps = kernel
+            .iter()
+            .map(|inst| {
+                let read_latency = read_sources(
+                    cfg,
+                    rfc.as_mut(),
+                    inst,
+                    &mut per_wave,
+                    threads,
+                    fast_regs.as_ref(),
+                );
+                if let (Some(dst), Some(rfc)) = (inst.dst, rfc.as_mut()) {
+                    let evict_before = rfc.evictions();
+                    rfc.write(dst);
+                    per_wave.rf_cache_accesses += threads;
+                    per_wave.vector_rf_accesses += (rfc.evictions() - evict_before) * threads;
+                } else if let (Some(dst), Some(fast)) = (inst.dst, fast_regs.as_ref()) {
+                    if fast.is_fast(dst) {
+                        per_wave.rf_fast_accesses += threads;
+                    } else {
+                        per_wave.vector_rf_accesses += threads;
+                    }
+                } else if inst.dst.is_some() {
+                    per_wave.vector_rf_accesses += threads;
+                }
+                let fu_latency = match inst.op {
+                    GpuOp::Valu => {
+                        per_wave.valu_insts += 1;
+                        per_wave.thread_fma_ops += threads;
+                        u64::from(cfg.fma_latency)
+                    }
+                    GpuOp::Mem => {
+                        per_wave.mem_insts += 1;
+                        0
+                    }
+                    GpuOp::Lds => {
+                        per_wave.lds_insts += 1;
+                        per_wave.lds_accesses += threads;
+                        u64::from(cfg.lds_latency)
+                    }
+                };
+                per_wave.wavefront_insts += 1;
+                PlanStep {
+                    latency: read_latency + fu_latency,
+                    dep_on_prev: inst.dep_on_prev,
+                    is_mem: inst.op == GpuOp::Mem,
+                }
+            })
+            .collect();
+        IssuePlan { steps, per_wave }
+    }
+
+    /// The wavefront-invariant counters of `waves` whole wavefronts.
+    /// Every field is listed, so a new counter cannot be left unscaled.
+    fn counters_for(&self, waves: u64) -> GpuStats {
+        let w = &self.per_wave;
+        GpuStats {
+            cycles: 0,
+            wavefront_insts: w.wavefront_insts * waves,
+            valu_insts: w.valu_insts * waves,
+            mem_insts: w.mem_insts * waves,
+            lds_insts: w.lds_insts * waves,
+            thread_fma_ops: w.thread_fma_ops * waves,
+            vector_rf_accesses: w.vector_rf_accesses * waves,
+            rf_cache_accesses: w.rf_cache_accesses * waves,
+            rf_fast_accesses: w.rf_fast_accesses * waves,
+            rf_cache_hits: w.rf_cache_hits * waves,
+            rf_cache_misses: w.rf_cache_misses * waves,
+            lds_accesses: w.lds_accesses * waves,
+            dram_accesses: 0,
+        }
+    }
+}
+
 /// Per-wavefront execution state, struct-of-arrays: the issue scan is a
 /// dense walk over small parallel vectors (`pc`, `next_issue`,
 /// `prev_done`) instead of hopping across per-wave structs, and the
-/// rarely-touched fields (`id`, RF caches) stay out of the scanned
-/// lines.
+/// rarely-touched `id` stays out of the scanned lines.
 struct WavePool {
     /// Global wavefront ids (stable across configurations).
     id: Vec<u64>,
@@ -47,8 +158,6 @@ struct WavePool {
     prev_done: Vec<u64>,
     /// Earliest cycle each wavefront may issue again (SIMD occupancy).
     next_issue: Vec<u64>,
-    /// Per-wave RF caches; empty when the config has none.
-    rfc: Vec<RfCache>,
 }
 
 /// Runs `wave_count` wavefronts of `kernel` on one compute unit.
@@ -71,6 +180,9 @@ pub fn run_cu(
 /// `GpuStats::cycles`), plus the wave-residency histogram when
 /// process-wide profiling is enabled.
 ///
+/// Builds its own issue plan (see `IssuePlan`); a whole-GPU launch
+/// ([`crate::gpu::Gpu`]) builds one and shares it across its CUs.
+///
 /// # Panics
 ///
 /// As for [`run_cu`].
@@ -82,24 +194,37 @@ pub fn run_cu_profiled(
     seed: u64,
 ) -> (GpuStats, CuProfile) {
     cfg.validate().expect("valid GPU config");
-    let mut stats = GpuStats::default();
+    run_planned(cfg, &IssuePlan::new(cfg, kernel), profile, wave_count, seed)
+}
+
+/// The CU step over a prebuilt plan: `cfg` must be the configuration
+/// `plan` was built under. The loop does only the per-wavefront work
+/// (scoreboard, issue timing, DRAM-miss draws); the other counters are
+/// the plan's per-wavefront totals times `wave_count`.
+pub(crate) fn run_planned(
+    cfg: &GpuConfig,
+    plan: &IssuePlan,
+    profile: &KernelProfile,
+    wave_count: u32,
+    seed: u64,
+) -> (GpuStats, CuProfile) {
     let mut attrib = CuProfile::default();
-    if wave_count == 0 || kernel.is_empty() {
-        return (stats, attrib);
+    if wave_count == 0 || plan.steps.is_empty() {
+        return (GpuStats::default(), attrib);
     }
+    let mut stats = plan.counters_for(u64::from(wave_count));
     let profiling = attribution::enabled();
-    let threads = u64::from(WAVEFRONT_THREADS);
+    let steps = plan.steps.as_slice();
     let issue_occupancy = u64::from(cfg.issue_cycles_per_wavefront());
-    // Static fast-register allocation for a partitioned RF (per kernel,
-    // shared by every wavefront — it is a compiler decision).
-    let fast_regs = cfg.rf_partition.map(|p| FastRegSet::allocate(kernel, p));
+    let mem_hit_latency = u64::from(cfg.mem_hit_latency);
+    let mem_miss_latency = u64::from(cfg.mem_miss_latency);
 
     // Waves beyond the resident limit start as soon as a slot frees; model
     // by batching (each batch fully resident, conservative on tail
     // effects, which are small for the launch sizes used).
     let resident = cfg.waves_per_cu.min(wave_count);
     let batches = wave_count.div_ceil(resident);
-    let kernel_len = u32::try_from(kernel.len()).expect("kernel fits in u32 pcs");
+    let kernel_len = u32::try_from(steps.len()).expect("kernel fits in u32 pcs");
     let mut cycle: u64 = 0;
     let mut skipped_cycles: u64 = 0;
     let mut wakeup_jumps: u64 = 0;
@@ -113,10 +238,6 @@ pub fn run_cu_profiled(
             pc: vec![0; n],
             prev_done: vec![0; n],
             next_issue: vec![cycle; n],
-            rfc: match cfg.rf_cache {
-                Some(c) => (0..n).map(|_| RfCache::new(c.entries as usize)).collect(),
-                None => Vec::new(),
-            },
         };
         let mut rr = 0usize;
         let mut remaining = n;
@@ -138,8 +259,8 @@ pub fn run_cu_profiled(
                 if pc >= kernel_len {
                     continue;
                 }
-                let inst = kernel[pc as usize];
-                let dep = if inst.dep_on_prev {
+                let step = steps[pc as usize];
+                let dep = if step.dep_on_prev {
                     pool.prev_done[i]
                 } else {
                     0
@@ -156,61 +277,26 @@ pub fn run_cu_profiled(
                         // dependence chain. `dep > next_issue` implies
                         // the wave issued before, so `pc - 1` is valid.
                         next_blocked_on_mem =
-                            dep > pool.next_issue[i] && kernel[(pc - 1) as usize].op == GpuOp::Mem;
+                            dep > pool.next_issue[i] && steps[(pc - 1) as usize].is_mem;
                     }
                     continue;
                 }
                 // ---- Issue this wavefront instruction ----
-                let read_latency = read_sources(
-                    cfg,
-                    pool.rfc.get_mut(i),
-                    &inst,
-                    &mut stats,
-                    threads,
-                    fast_regs.as_ref(),
-                );
-                if let (Some(dst), Some(rfc)) = (inst.dst, pool.rfc.get_mut(i)) {
-                    let evict_before = rfc.evictions();
-                    rfc.write(dst);
-                    stats.rf_cache_accesses += threads;
-                    stats.vector_rf_accesses += (rfc.evictions() - evict_before) * threads;
-                } else if let (Some(dst), Some(fast)) = (inst.dst, fast_regs.as_ref()) {
-                    if fast.is_fast(dst) {
-                        stats.rf_fast_accesses += threads;
+                let mut latency = step.latency;
+                if step.is_mem {
+                    let key = pool.id[i]
+                        .wrapping_mul(0x1000_0001)
+                        .wrapping_add(u64::from(pc));
+                    latency += if hashed_bool(key, profile.mem_miss_rate) {
+                        stats.dram_accesses += 1;
+                        mem_miss_latency
                     } else {
-                        stats.vector_rf_accesses += threads;
-                    }
-                } else if inst.dst.is_some() {
-                    stats.vector_rf_accesses += threads;
+                        mem_hit_latency
+                    };
                 }
-                let fu_latency = match inst.op {
-                    GpuOp::Valu => {
-                        stats.valu_insts += 1;
-                        stats.thread_fma_ops += threads;
-                        u64::from(cfg.fma_latency)
-                    }
-                    GpuOp::Mem => {
-                        stats.mem_insts += 1;
-                        let key = pool.id[i]
-                            .wrapping_mul(0x1000_0001)
-                            .wrapping_add(u64::from(pc));
-                        if hashed_bool(key, profile.mem_miss_rate) {
-                            stats.dram_accesses += 1;
-                            u64::from(cfg.mem_miss_latency)
-                        } else {
-                            u64::from(cfg.mem_hit_latency)
-                        }
-                    }
-                    GpuOp::Lds => {
-                        stats.lds_insts += 1;
-                        stats.lds_accesses += threads;
-                        u64::from(cfg.lds_latency)
-                    }
-                };
-                pool.prev_done[i] = cycle + read_latency + fu_latency;
+                pool.prev_done[i] = cycle + latency;
                 pool.next_issue[i] = cycle + issue_occupancy;
                 pool.pc[i] = pc + 1;
-                stats.wavefront_insts += 1;
                 if pc + 1 >= kernel_len {
                     remaining -= 1;
                 }

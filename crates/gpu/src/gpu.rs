@@ -9,7 +9,7 @@
 use hetsim_check::{CheckConfig, Checker, Violation};
 
 use crate::config::GpuConfig;
-use crate::cu::run_cu_profiled;
+use crate::cu::{run_planned, IssuePlan};
 use crate::kernel::KernelProfile;
 use crate::profile::CuProfile;
 use crate::stats::{validate_gpu_stats, GpuStats};
@@ -168,6 +168,9 @@ impl Gpu {
         seed: u64,
     ) -> GpuRunResult {
         let cus = self.cfg.compute_units;
+        // Every CU runs the same kernel under the same configuration,
+        // so they share one plan.
+        let plan = IssuePlan::new(&self.cfg, insts);
         // Round-robin wavefront distribution.
         let base = kernel.wavefronts / cus;
         let extra = kernel.wavefronts % cus;
@@ -175,9 +178,9 @@ impl Gpu {
         let mut profiles = Vec::with_capacity(cus as usize);
         for cu in 0..cus {
             let waves = base + u32::from(cu < extra);
-            let (cu_stats, cu_profile) = run_cu_profiled(
+            let (cu_stats, cu_profile) = run_planned(
                 &self.cfg,
-                insts,
+                &plan,
                 kernel,
                 waves,
                 seed.wrapping_add(0x9E37 * u64::from(cu) + 1),
@@ -274,6 +277,53 @@ mod tests {
         let a = gpu.run(&k, 4);
         let b = gpu.run(&k, 4);
         assert_eq!(a.stats, b.stats);
+    }
+
+    /// `Gpu::run` shares one issue plan across its CUs; `hetperf`'s
+    /// traced GPU job re-drives the launch as a per-CU fold of
+    /// `run_cu_profiled`, which builds a plan per CU. The two must agree
+    /// exactly on the paper's GPU designs.
+    #[test]
+    fn shared_plan_launch_equals_per_cu_fold() {
+        use crate::config::{PartitionedRfConfig, RfCacheConfig};
+        use crate::cu::run_cu_profiled;
+
+        let mut tfet = GpuConfig::default();
+        tfet.clock_hz = 0.5e9;
+        tfet.rf_cache = None;
+        tfet.mem_miss_latency = 125;
+        let mut no_rfc = GpuConfig::default();
+        no_rfc.fma_latency = 6;
+        no_rfc.rf_latency = 2;
+        no_rfc.rf_cache = None;
+        let mut partitioned = no_rfc.clone();
+        partitioned.rf_partition = Some(PartitionedRfConfig::default());
+        let mut wide = no_rfc.clone();
+        wide.rf_cache = Some(RfCacheConfig::default());
+        wide.compute_units = 16;
+        for cfg in [GpuConfig::default(), tfet, no_rfc, partitioned, wide] {
+            for name in ["matmul", "reduction", "dct"] {
+                let k = kernels::profile(name).expect("known");
+                let seed = 11;
+                let launch = Gpu::new(cfg.clone()).run(&k, seed);
+                let insts = k.generate(seed);
+                let (base, extra) = (
+                    k.wavefronts / cfg.compute_units,
+                    k.wavefronts % cfg.compute_units,
+                );
+                let mut stats = GpuStats::default();
+                let mut profiles = Vec::new();
+                for cu in 0..cfg.compute_units {
+                    let waves = base + u32::from(cu < extra);
+                    let cu_seed = seed.wrapping_add(0x9E37 * u64::from(cu) + 1);
+                    let (s, p) = run_cu_profiled(&cfg, &insts, &k, waves, cu_seed);
+                    stats.merge(&s);
+                    profiles.push(p);
+                }
+                assert_eq!(launch.stats, stats, "{name} on {cfg:?}");
+                assert_eq!(launch.profiles, profiles, "{name} on {cfg:?}");
+            }
+        }
     }
 
     #[test]
